@@ -2,8 +2,9 @@
 
 Basis blades are bitmasks over {1..k}; the form values q_i are symbolic by
 default (generic non-degenerate form) or explicit nonzero rationals.
-Includes the evaluation homomorphism from the free algebra and fast integer
-sign tables for evaluating multilinear polynomials at basis tuples.
+Includes the evaluation homomorphism from the free algebra and integer sign
+matrices for evaluating multilinear polynomials at basis tuples, one column
+per orbit of tuples under relabelling of the basis.
 """
 
 from __future__ import annotations
@@ -232,12 +233,14 @@ def evaluate(f: NcPoly, assign: Mapping[int, CliffordElt], form: FormParams) -> 
     return out
 
 
-# -- fast multilinear evaluation tables --------------------------------------
+# -- multilinear evaluation tables ---------------------------------------------
 #
 # For a sequence s in {1..k}^N of basis-vector indices the product
 # e_{s_1}...e_{s_N} equals sign(s) * (monomial in q) * blade(s), where the
 # q-monomial and the blade depend only on the multiset of s.  Multilinear
-# evaluation therefore reduces to integer sign arithmetic.
+# evaluation therefore reduces to integer sign arithmetic.  The full k^N
+# tables below are the reference that the orbit sign matrices further down
+# are tested against.
 
 
 def sequence_sign(seq: Sequence[int]) -> int:
@@ -291,3 +294,71 @@ def word_sign_vector(word: Sequence[int], k: int) -> np.ndarray:
     for pos, g in enumerate(word):
         axes[g - 1] = pos
     return np.transpose(table, axes).ravel()
+
+
+# -- one column per orbit of basis tuples ---------------------------------------
+#
+# Relabelling the basis vectors by a permutation of 1..k multiplies the sign
+# of every word at a tuple by one common +-1: it reverses the order of some
+# pairs of distinct labels, which changes each word's inversion count by the
+# same sum of count products.  Columns of the full k^n sign table therefore
+# agree up to sign inside an orbit, and each orbit has exactly one restricted
+# growth string (labels in order of first appearance), which is also its
+# lexicographically first tuple.
+
+
+@lru_cache(maxsize=32)
+def orbit_representatives(n: int, k: int) -> np.ndarray:
+    """Restricted growth strings of length n with at most k blocks.
+
+    Rows are 1-based label tuples in lexicographic order: one per orbit of
+    {1..k}^n under permutations of the labels, and the first tuple of it.
+    """
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    reps: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        reps = [r + (i,) for r in reps for i in range(1, min(max(r, default=0) + 1, k) + 1)]
+    out = np.array(reps, dtype=np.int8)
+    out.setflags(write=False)
+    return out
+
+
+def orbit_sign_matrix(words: Sequence[Sequence[int]], k: int) -> np.ndarray:
+    """Signs of each multilinear word at each orbit representative.
+
+    ``words`` are permutations of 1..n; entry [i, j] is the sign of
+    e_{r_{w_1}}...e_{r_{w_n}} for word i and the j-th row r of
+    ``orbit_representatives(n, k)``.  The sign is the parity of the strict
+    inversions of that label sequence (equal to ``sequence_sign``).  A pair
+    of letters g < h is an inversion when the word's order of g and h
+    disagrees with the order of their labels; over GF(2) that count is
+    [r_g < r_h] plus [g precedes h in w] * [r_g != r_h], summed over the
+    pairs, so it reduces to one AND and popcount of bit-packed pair masks.
+    """
+    w = np.asarray(words, dtype=np.intp)
+    n = w.shape[1]
+    reps = orbit_representatives(n, k)
+    g, h = np.triu_indices(n, 1)
+    pos = np.empty_like(w)
+    pos[np.arange(len(w))[:, None], w - 1] = np.arange(n)
+    g_first = np.packbits(pos[:, g] < pos[:, h], axis=1)  # (words, pair bytes)
+    differ = np.packbits(reps[:, g] != reps[:, h], axis=1)  # (reps, pair bytes)
+    below = ((reps[:, g] < reps[:, h]).sum(axis=1) & 1).astype(np.uint8)
+    common = np.zeros((len(w), len(reps)), dtype=np.uint8)
+    for byte in range(g_first.shape[1]):  # one (words, reps) array at a time
+        common ^= g_first[:, byte, None] & differ[:, byte]
+    odd = (np.bitwise_count(common) ^ below) & 1
+    return np.where(odd, np.int8(-1), np.int8(1))
+
+
+def signed_sums(coeffs, signs: np.ndarray) -> np.ndarray:
+    """Exact ``coeffs @ signs`` for integer coefficients and a +-1 matrix.
+
+    int64 when every row of coefficients has sum of magnitudes below 2^62,
+    so that no partial sum can wrap; Python integers otherwise.
+    """
+    c = np.asarray(coeffs, dtype=object)
+    if all(sum(abs(x) for x in row) < 2**62 for row in np.atleast_2d(c)):
+        return c.astype(np.int64) @ signs.astype(np.int64)
+    return c @ signs.astype(object)

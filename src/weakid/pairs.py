@@ -173,21 +173,19 @@ def _clifford_component_witness(ml: NcPoly, pair: CliffordPair) -> Witness | Non
 
     All words of ml are permutations of the same letters, so at a fixed
     basis tuple every term evaluates to a common (nonzero) q-monomial and
-    blade times an integer sign; vanishing is a pure integer statement.
+    blade times an integer sign; vanishing is a pure integer statement, and
+    it is enough to test one tuple per orbit of basis relabellings.
     """
     relabeled, letters = _relabel_multilinear(ml)
-    n = len(letters)
-    k = pair.k
     words, coeffs = _int_coeff_rows(relabeled)
-    acc = np.zeros(k ** n, dtype=np.int64)
-    for w, c in zip(words, coeffs):
-        acc += c * clifford.word_sign_vector(w, k).astype(np.int64)
-    bad = np.flatnonzero(acc)
+    sums = clifford.signed_sums(coeffs, clifford.orbit_sign_matrix(words, pair.k))
+    bad = np.flatnonzero(sums)
     if bad.size == 0:
         return None
-    flat = int(bad[0])  # lexicographically first tuple (C-order ravel)
-    idx = np.unravel_index(flat, (k,) * n)
-    basis_idx = [int(i) + 1 for i in idx]
+    # an orbit's representative is its lexicographically first tuple, so the
+    # first failing representative is the first failing tuple overall
+    reps = clifford.orbit_representatives(len(letters), pair.k)
+    basis_idx = [int(i) for i in reps[bad[0]]]
     assignment = {g: f"e{basis_idx[j]}" for j, g in enumerate(letters)}
     elements = {
         g: CliffordElt.basis_vector(basis_idx[j], pair.form)

@@ -13,13 +13,16 @@ from weakid.clifford import (
     cliff_mul,
     embed_vector,
     evaluate,
+    orbit_representatives,
+    orbit_sign_matrix,
     sequence_sign,
     sign_table,
+    signed_sums,
     tuple_blade,
     tuple_q_exponents,
     word_sign_vector,
 )
-from weakid.freealg import NcPoly, commutator, standard_poly
+from weakid.freealg import NcPoly, commutator, multilinear_words, standard_poly
 from weakid.scalars import ParamPoly
 
 SYM3 = FormParams(3)
@@ -229,3 +232,83 @@ class TestSignTables:
         assert np.array_equal(
             word_sign_vector((1, 2, 3), k), sign_table(n, k).ravel()
         )
+
+
+def _full_sign_matrix(n, k):
+    """Reference: every word's sign at every one of the k^n tuples."""
+    return np.stack([word_sign_vector(w, k) for w in multilinear_words(n)])
+
+
+def _rgs(t):
+    """Relabel a tuple by order of first appearance."""
+    first = {}
+    return tuple(first.setdefault(i, len(first) + 1) for i in t)
+
+
+def _stirling2(n, j):
+    if n == j:
+        return 1
+    if j == 0 or j > n:
+        return 0
+    return j * _stirling2(n - 1, j) + _stirling2(n - 1, j - 1)
+
+
+class TestOrbitSigns:
+    def test_representatives_are_lex_sorted_growth_strings(self):
+        for n in range(0, 6):
+            for k in range(1, 6):
+                reps = [tuple(int(i) for i in r) for r in orbit_representatives(n, k)]
+                want = sorted(
+                    t for t in itertools.product(range(1, k + 1), repeat=n)
+                    if _rgs(t) == t
+                )
+                assert reps == want
+
+    def test_representative_counts(self):
+        for n in range(1, 8):
+            for k in range(1, 8):
+                want = sum(_stirling2(n, j) for j in range(1, k + 1))
+                assert orbit_representatives(n, k).shape == (want, n)
+        assert [len(orbit_representatives(n, n)) for n in (5, 6, 7)] == [52, 203, 877]
+
+    def test_representatives_read_only(self):
+        with pytest.raises(ValueError):
+            orbit_representatives(3, 2)[0, 0] = 2
+
+    def test_columns_match_full_table(self):
+        for n in range(1, 7):
+            for k in range(1, 7):
+                full = _full_sign_matrix(n, k)
+                orbit = orbit_sign_matrix(multilinear_words(n), k)
+                reps = orbit_representatives(n, k)
+                flat = np.ravel_multi_index(tuple(reps.T.astype(np.intp) - 1), (k,) * n)
+                assert np.array_equal(orbit, full[:, flat])
+
+    def test_every_column_is_a_signed_representative_column(self):
+        for n, k in itertools.product(range(1, 6), repeat=2):
+            full = _full_sign_matrix(n, k)
+            orbit = orbit_sign_matrix(multilinear_words(n), k)
+            index = {tuple(int(i) for i in r): j for j, r in enumerate(orbit_representatives(n, k))}
+            for flat, t in enumerate(itertools.product(range(1, k + 1), repeat=n)):
+                col = orbit[:, index[_rgs(t)]]
+                assert np.array_equal(full[:, flat], col) or np.array_equal(full[:, flat], -col)
+
+    def test_any_word_subset_and_order(self):
+        rng = random.Random(5)
+        words = multilinear_words(5)
+        sample = rng.sample(range(len(words)), 17)
+        got = orbit_sign_matrix([words[i] for i in sample], 4)
+        assert np.array_equal(got, orbit_sign_matrix(words, 4)[sample])
+        assert got.shape == (17, len(orbit_representatives(5, 4)))
+
+    def test_empty_word(self):
+        assert orbit_sign_matrix([()], 3).tolist() == [[1]]
+
+    def test_signed_sums_exact(self):
+        signs = np.array([[1, -1], [1, 1], [-1, 1]], dtype=np.int8)
+        small = signed_sums([3, 4, 5], signs)
+        assert small.dtype == np.int64 and small.tolist() == [2, 6]
+        big = [2**62, 2**62, -(2**63)]
+        assert signed_sums(big, signs).tolist() == [2**64, -(2**63)]
+        rows = signed_sums([[1, 2, 3], [2**70, 0, 1]], signs)
+        assert rows.tolist() == [[0, 4], [2**70 - 1, -(2**70) + 1]]

@@ -2,9 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate
+from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate, word_sign_vector
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
     NcPoly,
@@ -158,6 +161,56 @@ class TestFastPathAgainstSymbolic:
                 for t in itertools.product(range(1, k + 1), repeat=n)
             )
             assert fast == slow
+
+
+class TestOrbitWitness:
+    def test_witness_is_first_failing_tuple_of_full_table(self):
+        """The search over orbit representatives finds the same tuple as a
+        first-nonzero search over all k^n tuples."""
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(60):
+            n, k = rng.randint(1, 5), rng.randint(1, 5)
+            perms = list(itertools.permutations(range(1, n + 1)))
+            words = rng.sample(perms, rng.randint(1, min(4, len(perms))))
+            f = NcPoly({w: Fraction(rng.randint(-3, 3)) for w in words})
+            if f.is_zero():
+                continue
+            acc = sum(
+                int(c) * word_sign_vector(w, k).astype(np.int64) for w, c in f.terms.items()
+            )
+            bad = np.flatnonzero(acc)
+            w = is_weak_identity(f, CliffordPair.symbolic(k))
+            if bad.size == 0:
+                assert w is None
+                continue
+            t = np.unravel_index(int(bad[0]), (k,) * n)
+            assert w.assignment == {g + 1: f"e{int(t[g]) + 1}" for g in range(n)}
+            checked += 1
+        assert checked > 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.sampled_from(
+            [
+                SQUARE_COMMUTATOR,
+                standard_poly(3),
+                commutator(x1, x2),
+                x1 * x2 * x3 + x1 * x3 * x2 + x2 * x1 * x3 + x2 * x3 * x1,
+                x1 * x2 - 2 * x3 * x2,
+            ]
+        ),
+        k=st.integers(1, 4),
+        scale=st.one_of(st.integers(-(2**80), 2**80), st.sampled_from([2**62, 2**63, -(2**64)]))
+        .filter(bool),
+    )
+    def test_scaling_never_flips_the_verdict(self, base, k, scale):
+        pair = CliffordPair.symbolic(k)
+        plain = is_weak_identity(base, pair)
+        scaled = is_weak_identity(base * scale, pair)
+        assert (plain is None) == (scaled is None)
+        if plain is not None:
+            assert plain.assignment == scaled.assignment
 
 
 class TestBasisSufficiency:

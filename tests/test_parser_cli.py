@@ -151,6 +151,20 @@ class TestCli:
         assert "x1 -> e1" in out and "x2 -> e2" in out
         assert "2*e{1,2}" in out
 
+    def test_check_sum_beyond_int64_fails(self, capsys):
+        # the four words sum to 4 * 2^62 = 2^64 at e1,e1,e1, which wraps to 0 in int64
+        expr = "4611686018427387904*(x1*x2*x3 + x1*x3*x2 + x2*x1*x3 + x2*x3*x1)"
+        code = main(["--json", "check", "--pair", "clifford:1", expr])
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert code == 1
+        assert outcome["witness"]["value"] == "18446744073709551616*q1*e{1}"
+
+    def test_check_coefficient_beyond_int64_fails(self, capsys):
+        code = main(["check", "--pair", "clifford:2", "100000000000000000000*x1*x2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "x1 -> e1" in out and "x2 -> e1" in out
+
     def test_parse_error_exit_2(self, capsys):
         assert main(["check", "--pair", "clifford:2", "x1*("]) == 2
         assert "position" in capsys.readouterr().err

@@ -296,22 +296,44 @@ class TestEvaluationKernel:
         )
 
     def test_seed_specializations_agree(self):
-        for n in (2, 3, 4):
-            rep = evaluation_kernel(
-                n, CliffordPair.symbolic(n), seeds=DEFAULT_SEEDS
-            )
-            assert rep.seeds == DEFAULT_SEEDS
+        for n in (2, 3, 4, 5):
+            for k in (2, n):
+                rep = evaluation_kernel(
+                    n, CliffordPair.symbolic(k), seeds=DEFAULT_SEEDS
+                )
+                assert rep.seeds == DEFAULT_SEEDS
+        with pytest.raises(ValueError, match="at least 4 primes"):
+            evaluation_kernel(3, CliffordPair.symbolic(4), seeds=((2, 3, 5),))
+
+    def test_seed_spot_check_catches_a_wrong_sign(self, monkeypatch):
+        from weakid import structure
+
+        real = structure.orbit_sign_matrix
+
+        def one_sign_flipped(words, k):
+            signs = real(words, k).copy()
+            signs[-1, -1] *= -1
+            return signs
+
+        monkeypatch.setattr(structure, "orbit_sign_matrix", one_sign_flipped)
+        evaluation_kernel(3, CliffordPair.symbolic(3))  # unseeded: nothing to compare
+        with pytest.raises(ArithmeticError, match="orbit sign matrix predicts"):
+            evaluation_kernel(3, CliffordPair.symbolic(3), seeds=DEFAULT_SEEDS[:1])
 
     def test_bareiss_cross_check(self):
-        # same ranks from the dense fraction-free path
-        from weakid.structure import _clifford_sign_matrix
+        # same ranks from the dense fraction-free path on the full k^n table
+        import numpy as np
+
+        from weakid.clifford import word_sign_vector
+        from weakid.freealg import multilinear_words
 
         for n in (2, 3, 4):
             k = n
-            m = _clifford_sign_matrix(n, k)
+            full = np.stack([word_sign_vector(w, k) for w in multilinear_words(n)])
+            cols = full.T.tolist()
             rank = evaluation_kernel(n, CliffordPair.symbolic(k)).rank
-            assert rank_bareiss(m.T.tolist()) == rank
-            assert exact_rank(m.T.tolist()) == rank
+            assert rank_bareiss(cols) == rank
+            assert exact_rank(cols) == rank
 
 
 class TestTheorem1AndCorollary1:
