@@ -169,7 +169,7 @@ def _span_kernel_lines(r: SpanKernelReport, what: str) -> list[str]:
 
 def _cmd_check(args):
     target = _parse_pair(args.pair)
-    f = parse_poly(args.expr)
+    f = parse_poly(args.expr, max_degree=args.max_degree)
     if f.is_zero():
         raise ValueError("the zero polynomial is not a meaningful candidate")
     witness = is_weak_identity(f, target, max_degree=args.max_degree)
@@ -198,7 +198,7 @@ def _cmd_dim(args):
 
 
 def _cmd_span(args):
-    gens = [parse_poly(g) for g in args.gens.split(";")]
+    gens = [parse_poly(g, max_degree=args.max_degree) for g in args.gens.split(";")]
     rep = structure.consequence_span_dim(
         args.n, gens, allow_degree_7=args.max_degree >= 7 and args.n == 7
     )

@@ -355,10 +355,16 @@ def orbit_sign_matrix(words: Sequence[Sequence[int]], k: int) -> np.ndarray:
 def signed_sums(coeffs, signs: np.ndarray) -> np.ndarray:
     """Exact ``coeffs @ signs`` for integer coefficients and a +-1 matrix.
 
-    int64 when every row of coefficients has sum of magnitudes below 2^62,
-    so that no partial sum can wrap; Python integers otherwise.
+    A float64 (BLAS) product when every row of coefficients fits in int64
+    and has sum of magnitudes below 2^53, so that every partial sum is an
+    exactly represented integer; Python integers otherwise.
     """
-    c = np.asarray(coeffs, dtype=object)
-    if all(sum(abs(x) for x in row) < 2**62 for row in np.atleast_2d(c)):
-        return c.astype(np.int64) @ signs.astype(np.int64)
-    return c @ signs.astype(object)
+    try:
+        c = np.asarray(coeffs, dtype=np.int64)
+    except OverflowError:
+        c = None
+    if c is not None:
+        cf = c.astype(np.float64)
+        if (np.abs(cf).sum(axis=-1) < 2**53).all():
+            return (cf @ signs.astype(np.float64)).astype(np.int64)
+    return np.asarray(coeffs, dtype=object) @ signs.astype(object)

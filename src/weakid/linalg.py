@@ -1,10 +1,17 @@
-"""Exact rational linear algebra: rank and linear solving, no floating point."""
+"""Exact rational linear algebra: rank and linear solving, no floating point,
+plus rank over a word-size prime field as a lower bound for the rational rank."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+import numpy as np
+
+#: The Mersenne prime 2^31 - 1: residues below 2^31, so the product of two
+#: fits in int64 with room for one subtraction.
+PRIME = 2**31 - 1
 
 
 def _int_row(row: Sequence) -> list[int]:
@@ -81,6 +88,34 @@ def rank_bareiss(matrix: Sequence[Sequence]) -> int:
         row += 1
         if row == nrows:
             break
+    return rank
+
+
+def rank_mod_p(rows, p: int = PRIME) -> int:
+    """Rank over GF(p) of an integer matrix, for a prime p < 2^31.
+
+    A lower bound for the rank over Q, equal to it for all but finitely many
+    primes (those dividing every maximal nonzero minor).  Vectorised Gaussian
+    elimination on int64 residues; each pivot step touches only the rows
+    that are nonzero in its column.
+    """
+    a = np.atleast_2d(np.asarray(rows) % p).astype(np.int64)
+    nrows, ncols = a.shape
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nz = np.flatnonzero(a[rank:, col])
+        if nz.size == 0:
+            continue
+        pivot = rank + nz[0]
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
+        below = rank + 1 + np.flatnonzero(a[rank + 1:, col])
+        if below.size:
+            a[below, col:] = (a[below, col:] - a[below, col, None] * a[rank, col:]) % p
+        rank += 1
     return rank
 
 

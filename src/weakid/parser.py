@@ -13,6 +13,9 @@ Grammar (whitespace insignificant):
 "[f,g]" is the commutator, "jord(f,g)" the Jordan product, "S(n)" the
 standard polynomial in x1..xn.  Variables map to generator indices by
 x<N> -> 2N-1 and y<N> -> 2N, so the two families never collide.
+
+Brackets nest at most MAX_NESTING deep.  parse_poly can bound the degree
+from the syntax tree before expanding anything (degree_bound).
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ from fractions import Fraction
 
 from .freealg import NcPoly, Word, commutator, jordan, standard_poly, word_key
 
-# AST nodes: ("num", Fraction) | ("var", index) | ("add"|"sub"|"mul", a, b)
-# | ("neg", a) | ("pow", a, exponent) | ("comm", a, b) | ("jord", a, b)
-# | ("std", n)
+# AST nodes: ("num", Fraction) | ("var", index) | ("sum", ((+-1, a), ...))
+# | ("prod", (a, b, ...)) | ("pow", a, exponent) | ("comm", a, b)
+# | ("jord", a, b) | ("std", n).  Sums and products are flat, so the depth
+# of the tree grows with bracket nesting only.
 ExprAst = tuple
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -50,6 +56,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -82,20 +89,31 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def expr(self) -> ExprAst:
-        node = ("neg", self.term()) if self.eat("-") else self.term()
+        terms = [(-1 if self.eat("-") else 1, self.term())]
         while True:
             if self.eat("+"):
-                node = ("add", node, self.term())
+                terms.append((1, self.term()))
             elif self.eat("-"):
-                node = ("sub", node, self.term())
+                terms.append((-1, self.term()))
+            elif len(terms) == 1 and terms[0][0] == 1:
+                return terms[0][1]
             else:
-                return node
+                return ("sum", tuple(terms))
+
+    def nested(self) -> ExprAst:
+        """An expression inside an opened bracket."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"brackets nested more than {MAX_NESTING} deep")
+        self.depth += 1
+        node = self.expr()
+        self.depth -= 1
+        return node
 
     def term(self) -> ExprAst:
-        node = self.factor()
+        factors = [self.factor()]
         while self.eat("*"):
-            node = ("mul", node, self.factor())
-        return node
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else ("prod", tuple(factors))
 
     def factor(self) -> ExprAst:
         node = self.atom()
@@ -123,22 +141,22 @@ class _Parser:
             return ("var", var_index(ch, self.natural()))
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.nested()
             self.expect(")")
             return node
         if ch == "[":
             self.pos += 1
-            a = self.expr()
+            a = self.nested()
             self.expect(",")
-            b = self.expr()
+            b = self.nested()
             self.expect("]")
             return ("comm", a, b)
         if self.text.startswith("jord", self.pos):
             self.pos += 4
             self.expect("(")
-            a = self.expr()
+            a = self.nested()
             self.expect(",")
-            b = self.expr()
+            b = self.nested()
             self.expect(")")
             return ("jord", a, b)
         if ch == "S":
@@ -163,6 +181,25 @@ def parse_expr(text: str) -> ExprAst:
     return node
 
 
+def degree_bound(ast: ExprAst) -> int:
+    """An upper bound for the degree of the AST's polynomial, without
+    expanding it (cancellation can only lower the degree)."""
+    tag = ast[0]
+    if tag in ("num", "var"):
+        return int(tag == "var")
+    if tag == "sum":
+        return max(degree_bound(t) for _, t in ast[1])
+    if tag == "prod":
+        return sum(degree_bound(f) for f in ast[1])
+    if tag == "pow":
+        return ast[2] * degree_bound(ast[1])
+    if tag in ("comm", "jord"):
+        return degree_bound(ast[1]) + degree_bound(ast[2])
+    if tag == "std":
+        return ast[1]
+    raise ValueError(f"unknown AST node {tag!r}")
+
+
 def lower_expr(ast: ExprAst) -> NcPoly:
     """Lower an AST to a free-algebra polynomial."""
     tag = ast[0]
@@ -170,14 +207,17 @@ def lower_expr(ast: ExprAst) -> NcPoly:
         return NcPoly({(): ast[1]})
     if tag == "var":
         return NcPoly.gen(ast[1])
-    if tag == "neg":
-        return -lower_expr(ast[1])
-    if tag == "add":
-        return lower_expr(ast[1]) + lower_expr(ast[2])
-    if tag == "sub":
-        return lower_expr(ast[1]) - lower_expr(ast[2])
-    if tag == "mul":
-        return lower_expr(ast[1]) * lower_expr(ast[2])
+    if tag == "sum":
+        (sign, first), *rest = ast[1]
+        out = lower_expr(first) if sign > 0 else -lower_expr(first)
+        for sign, t in rest:
+            out = out + lower_expr(t) if sign > 0 else out - lower_expr(t)
+        return out
+    if tag == "prod":
+        out = lower_expr(ast[1][0])
+        for f in ast[1][1:]:
+            out = out * lower_expr(f)
+        return out
     if tag == "pow":
         return lower_expr(ast[1]) ** ast[2]
     if tag == "comm":
@@ -192,8 +232,15 @@ def lower_expr(ast: ExprAst) -> NcPoly:
     raise ValueError(f"unknown AST node {tag!r}")
 
 
-def parse_poly(text: str) -> NcPoly:
-    return lower_expr(parse_expr(text))
+def parse_poly(text: str, max_degree: int | None = None) -> NcPoly:
+    """Parse and expand; with max_degree, an expression whose degree bound
+    exceeds it raises ValueError before anything is expanded."""
+    ast = parse_expr(text)
+    if max_degree is not None:
+        bound = degree_bound(ast)
+        if bound > max_degree:
+            raise ValueError(f"expression degree can reach {bound}, above the cap {max_degree}")
+    return lower_expr(ast)
 
 
 def _format_word(w: Word) -> str:

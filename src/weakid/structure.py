@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,10 +40,12 @@ from .freealg import (
     multilinear_words,
     multilinearize,
     standard_poly,
-    substitute_linear,
     word_key,
 )
-from .linalg import exact_rank, solve_exact
+# Unused here since spans are built as integer matrices; kept importable as
+# structure.substitute_linear for the same traced run.
+from .freealg import substitute_linear  # noqa: F401
+from .linalg import exact_rank, rank_mod_p, solve_exact
 from .pairs import CliffordPair, MatrixPair, PairTarget, is_weak_identity, substitution_basis
 
 Partition = tuple[int, ...]
@@ -322,49 +324,69 @@ def _check_rank_degree(n: int, allow_degree_7: bool):
         )
 
 
-def _span_elements(n: int, generators: Sequence[NcPoly]) -> list[NcPoly]:
-    """Spanning set of the degree-n multilinear slice of the GL-ideal.
+def _permutation_index(words: np.ndarray) -> np.ndarray:
+    """Position of each row (a permutation of 1..n) in multilinear_words(n),
+    from its Lehmer code: the count of later smaller letters at each place."""
+    n = words.shape[1]
+    later_smaller = (words[:, None, :] < words[:, :, None]) & np.triu(np.ones((n, n), bool), 1)
+    weights = np.array([factorial(n - 1 - i) for i in range(n)])
+    return later_smaller.sum(axis=2) @ weights
 
-    For each generator: multilinearize, substitute every injective renaming
-    of its variables into {1..n}, and surround with every ordered split of
-    the remaining letters into a left and a right word.
+
+def _span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
+    """Integer rows spanning the degree-n multilinear slice of the GL-ideal,
+    one column per word of multilinear_words(n), deduplicated up to scaling.
+
+    A consequence is u * g(x_{i_1},..,x_{i_d}) * v for a multilinearized
+    generator g in d letters, an injective renaming i and words u, v in the
+    remaining letters.  List the letters as a permutation pi of 1..n, the
+    renaming first, and cut the rest at c: the term of g at letter places t
+    becomes the word pi[d:d+c] + pi[t] + pi[d+c:], one fixed column selection
+    of the n! x n array of all pi.  With g's coefficients made coprime
+    integers and each row's first entry positive, np.unique removes the
+    duplicates up to scaling; the first of each is kept, in order.
     """
-    elems: list[NcPoly] = []
+    perms = np.array(multilinear_words(n))
+    nfact = len(perms)
+    blocks = []  # per block of n! rows (a generator and a cut): its terms
     for g in generators:
         gm = multilinearize(g)
         letters = sorted(gm.generators())
         d = len(letters)
         if d > n:
             continue
-        for inj in itertools.permutations(range(1, n + 1), d):
-            inst = substitute_linear(
-                gm, {letters[j]: NcPoly.gen(inj[j]) for j in range(d)}
-            )
-            rest = sorted(set(range(1, n + 1)) - set(inj))
-            for perm in itertools.permutations(rest):
-                for cut in range(len(rest) + 1):
-                    left = NcPoly.monomial(perm[:cut])
-                    right = NcPoly.monomial(perm[cut:])
-                    elems.append(left * inst * right)
-    return elems
+        den = lcm(*(c.denominator for c in gm.terms.values()))
+        coeffs = [int(c * den) for c in gm.terms.values()]
+        content = gcd(*coeffs)  # every row of g holds exactly these entries
+        coeffs = [c // content for c in coeffs]
+        if max(map(abs, coeffs)) >= 2**63:
+            raise ValueError(f"generator {g} has integer coefficients beyond int64")
+        places = [[letters.index(x) for x in w] for w in gm.terms]
+        for cut in range(n - d + 1):
+            blocks.append([([*range(d, d + cut), *t, *range(d + cut, n)], c)
+                           for t, c in zip(places, coeffs)])
+    span = np.zeros((len(blocks) * nfact, nfact), dtype=np.int64)
+    for b, terms in enumerate(blocks):
+        for cols, c in terms:
+            span[np.arange(b * nfact, (b + 1) * nfact), _permutation_index(perms[:, cols])] = c
+    span *= np.sign(span[np.arange(len(span)), np.argmax(span != 0, axis=1)])[:, None]
+    # rows as single opaque items: np.unique(axis=0) compares them column
+    # by column, ten times slower at n = 6
+    whole_rows = span.view(np.dtype((np.void, span.strides[0]))).ravel()
+    return span[np.sort(np.unique(whole_rows, return_index=True)[1])]
 
 
-def _dedupe_vectors(
-    elems: Sequence[NcPoly], words: Sequence[Word]
-) -> list[list[Fraction]]:
-    """Coefficient vectors of the elements, deduplicated up to scaling."""
-    seen: set[tuple] = set()
-    vecs: list[list[Fraction]] = []
-    for p in elems:
-        vec = [p.coeff(w) for w in words]
-        first = next((c for c in vec if c), None)
-        if first is None:
-            continue
-        key = tuple(c / first for c in vec)
-        if key not in seen:
-            seen.add(key)
-            vecs.append(vec)
-    return vecs
+def _span_report(n: int, target: str, span: np.ndarray, rank: int) -> RankReport:
+    nfact = span.shape[1]
+    return RankReport(
+        degree=n,
+        target=target,
+        rows=len(span),
+        cols=nfact,
+        rank=rank,
+        kernel_dim=nfact - rank,
+        quotient_dim=rank,
+    )
 
 
 def consequence_span_dim(
@@ -372,20 +394,12 @@ def consequence_span_dim(
 ) -> RankReport:
     """Exact dimension of the degree-n multilinear consequence span."""
     _check_rank_degree(n, allow_degree_7)
-    for g in generators:
-        multidegree(g)  # raises if not multihomogeneous
-    words = multilinear_words(n)
-    vecs = _dedupe_vectors(_span_elements(n, generators), words)
-    rank = exact_rank(vecs)
-    nfact = len(words)
-    return RankReport(
-        degree=n,
-        target=f"consequence span of {len(generators)} generator(s)",
-        rows=len(vecs),
-        cols=nfact,
-        rank=rank,
-        kernel_dim=nfact - rank,
-        quotient_dim=rank,
+    span = _span_matrix(n, generators)
+    return _span_report(
+        n,
+        f"consequence span of {len(generators)} generator(s)",
+        span,
+        exact_rank(span.tolist()),
     )
 
 
@@ -398,10 +412,8 @@ def in_consequence_span(f: NcPoly, n: int, generators: Sequence[NcPoly]) -> bool
     md = multidegree(f)
     if sorted(md) != list(range(1, n + 1)) or any(d != 1 for d in md.values()):
         raise ValueError("f must be multilinear in x1..xn")
-    vecs = _dedupe_vectors(_span_elements(n, generators), words)
-    base = exact_rank(vecs)
-    extended = exact_rank(vecs + [[f.coeff(w) for w in words]])
-    return extended == base
+    rows = _span_matrix(n, generators).tolist()
+    return exact_rank(rows + [[f.coeff(w) for w in words]]) == exact_rank(rows)
 
 
 def _seed_form(k: int, primes: Sequence[int]) -> FormParams:
@@ -524,20 +536,6 @@ def evaluation_kernel(
     raise TypeError(f"unknown pair target {target!r}")
 
 
-def _span_contained_in_kernel(
-    vecs: Sequence[Sequence[Fraction]], n: int, k: int
-) -> bool:
-    """Exact check that every span vector evaluates to zero at all basis tuples
-    (one per orbit under relabelling suffices)."""
-    if not vecs:
-        return True
-    rows = []
-    for vec in vecs:
-        den = lcm(*(Fraction(c).denominator for c in vec))
-        rows.append([int(Fraction(c) * den) for c in vec])
-    return not np.any(signed_sums(rows, orbit_sign_matrix(multilinear_words(n), k)))
-
-
 @dataclass(frozen=True)
 class SpanKernelReport:
     """Result of comparing a consequence span against an evaluation kernel."""
@@ -550,41 +548,56 @@ class SpanKernelReport:
     predicted_quotient: int | None = None
 
 
+def span_vs_kernel(
+    n: int,
+    k: int,
+    generators: Sequence[NcPoly],
+    target: str,
+    seeds: tuple[tuple[int, ...], ...] = (),
+    allow_degree_7: bool = False,
+) -> SpanKernelReport:
+    """Compare the degree-n multilinear consequence span of the generators
+    with the multilinear weak identities of the generic k-dimensional
+    Clifford pair; the predicted quotient is the hook-length sum over
+    partitions of n with at most k rows.
+
+    Containment is checked exactly, span rows times the orbit sign matrix.
+    When it holds, rank_p(span) <= rank_Q(span) <= n! - rank_Q(E), the
+    kernel dimension from the exact evaluation rank, so a rank modulo the
+    prime that reaches the kernel dimension is the exact span rank.
+    Otherwise (no containment, or an unlucky prime) the span is ranked
+    exactly.
+    """
+    kernel = evaluation_kernel(
+        n, CliffordPair.symbolic(k), seeds=seeds, allow_degree_7=allow_degree_7
+    )
+    span = _span_matrix(n, generators)
+    containment = not signed_sums(span, orbit_sign_matrix(multilinear_words(n), k)).any()
+    rank = rank_mod_p(span) if containment else None
+    if rank != kernel.kernel_dim:
+        rank = exact_rank(span.tolist())
+    return SpanKernelReport(
+        ok=containment and rank == kernel.kernel_dim,
+        degree=n,
+        span=_span_report(n, target, span, rank),
+        kernel=kernel,
+        containment_ok=containment,
+        predicted_quotient=sum(hook_dim(p) for p in partitions(n, max_rows=k)),
+    )
+
+
 def theorem1_check(
     n: int,
     seeds: tuple[tuple[int, ...], ...] = (),
     allow_degree_7: bool = False,
 ) -> SpanKernelReport:
     """Check that the degree-n multilinear weak identities of the generic
-    Clifford pair (k = n) are exactly the consequences of [x1^2, x2]."""
+    Clifford pair (k = n) are exactly the consequences of [x1^2, x2]; the
+    predicted quotient is the number of involutions of n letters."""
     if n < 3:
         raise ValueError("the generator has degree 3; need n >= 3")
-    _check_rank_degree(n, allow_degree_7)
-    words = multilinear_words(n)
-    vecs = _dedupe_vectors(_span_elements(n, [SQUARE_COMMUTATOR]), words)
-    rank = exact_rank(vecs)
-    nfact = len(words)
-    span = RankReport(
-        degree=n,
-        target="consequence span of [x1^2,x2]",
-        rows=len(vecs),
-        cols=nfact,
-        rank=rank,
-        kernel_dim=nfact - rank,
-        quotient_dim=rank,
-    )
-    kernel = evaluation_kernel(
-        n, CliffordPair.symbolic(n), seeds=seeds, allow_degree_7=allow_degree_7
-    )
-    containment = _span_contained_in_kernel(vecs, n, n)
-    ok = span.rank == kernel.kernel_dim and containment
-    return SpanKernelReport(
-        ok=ok,
-        degree=n,
-        span=span,
-        kernel=kernel,
-        containment_ok=containment,
-        predicted_quotient=involutions(n) if n <= 8 else None,
+    return span_vs_kernel(
+        n, n, [SQUARE_COMMUTATOR], "consequence span of [x1^2,x2]", seeds, allow_degree_7
     )
 
 
@@ -599,34 +612,13 @@ def corollary1_check(
     [x1^2, x2] together with the standard polynomial S_{k+1}."""
     if k < 1:
         raise ValueError("k must be positive")
-    _check_rank_degree(n, allow_degree_7)
-    generators = [SQUARE_COMMUTATOR, standard_poly(k + 1)]
-    words = multilinear_words(n)
-    vecs = _dedupe_vectors(_span_elements(n, generators), words)
-    rank = exact_rank(vecs)
-    nfact = len(words)
-    span = RankReport(
-        degree=n,
-        target=f"consequence span of [x1^2,x2] and S_{k + 1}",
-        rows=len(vecs),
-        cols=nfact,
-        rank=rank,
-        kernel_dim=nfact - rank,
-        quotient_dim=rank,
-    )
-    kernel = evaluation_kernel(
-        n, CliffordPair.symbolic(k), seeds=seeds, allow_degree_7=allow_degree_7
-    )
-    containment = _span_contained_in_kernel(vecs, n, k)
-    ok = span.rank == kernel.kernel_dim and containment
-    predicted = sum(hook_dim(p) for p in partitions(n, max_rows=k))
-    return SpanKernelReport(
-        ok=ok,
-        degree=n,
-        span=span,
-        kernel=kernel,
-        containment_ok=containment,
-        predicted_quotient=predicted,
+    return span_vs_kernel(
+        n,
+        k,
+        [SQUARE_COMMUTATOR, standard_poly(k + 1)],
+        f"consequence span of [x1^2,x2] and S_{k + 1}",
+        seeds,
+        allow_degree_7,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,11 @@ import pytest
 from weakid.cli import Report, build_parser, main
 from weakid.freealg import NcPoly, commutator, jordan
 from weakid.parser import (
+    MAX_NESTING,
     ParseError,
+    degree_bound,
     format_expr,
+    lower_expr,
     parse_expr,
     parse_poly,
     var_index,
@@ -99,6 +103,47 @@ class TestParseErrors:
         with pytest.raises(ValueError):
             parse_poly("@@")
 
+    def test_nesting_limit(self):
+        deep = "(" * 2000 + "x1" + ")" * 2000
+        with pytest.raises(ParseError, match="nested") as ei:
+            parse_expr(deep)
+        assert ei.value.pos == MAX_NESTING + 1
+        assert parse_poly("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING) == x(1)
+        brackets = "[" * MAX_NESTING + "x1,x2]" + ",x3]" * (MAX_NESTING - 1)
+        assert degree_bound(parse_expr(brackets)) == MAX_NESTING + 1
+
+    def test_long_flat_sums_and_products(self):
+        assert parse_poly(" + ".join(["x1"] * 3000)) == 3000 * x(1)
+        assert degree_bound(parse_expr("*".join(["x1"] * 3000))) == 3000
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize(
+        "text,bound",
+        [
+            ("3/2", 0),
+            ("x1 + x2*x3 - 1", 2),
+            ("(x1 + x2)^40", 40),
+            ("[x1^2, x2]*y1", 4),
+            ("jord(x1, x2*x3)", 3),
+            ("S(12)", 12),
+            ("x1^3 - x1^3 + x2", 3),  # cancellation is not seen
+        ],
+    )
+    def test_values(self, text, bound):
+        assert degree_bound(parse_expr(text)) == bound
+
+    def test_bound_never_below_degree(self):
+        rng = random.Random(303)
+        for _ in range(100):
+            ast = parse_expr(random_expr(rng))
+            assert lower_expr(ast).max_degree() <= degree_bound(ast)
+
+    def test_cap_applies_before_expansion(self):
+        with pytest.raises(ValueError, match="degree can reach 40, above the cap 7"):
+            parse_poly("(x1+x2)^40", max_degree=7)
+        assert parse_poly("x1^7", max_degree=7) == x(1) ** 7
+
 
 def random_expr(rng, depth=0):
     choice = rng.random()
@@ -164,6 +209,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 1
         assert "x1 -> e1" in out and "x2 -> e1" in out
+
+    @pytest.mark.parametrize("expr", ["S(12)", "(x1+x2)^40"])
+    def test_degree_above_cap_exit_2_before_expansion(self, capsys, expr):
+        start = time.monotonic()
+        assert main(["check", "--pair", "clifford:2", expr]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "above the cap 7" in capsys.readouterr().err
+
+    def test_deep_nesting_exit_2(self, capsys):
+        expr = "(" * 2000 + "x1" + ")" * 2000
+        assert main(["check", "--pair", "clifford:2", expr]) == 2
+        assert "nested more than" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, capsys):
         assert main(["check", "--pair", "clifford:2", "x1*("]) == 2

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weakid import structure
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
     NcPoly,
     commutator,
+    multilinear_words,
+    multilinearize,
     standard_poly,
+    substitute_linear,
 )
-from weakid.linalg import exact_rank, rank_bareiss, solve_exact
+from weakid.linalg import PRIME, exact_rank, rank_bareiss, rank_mod_p, solve_exact
 from weakid.pairs import CliffordPair, MatrixPair, is_weak_identity
 from weakid.structure import (
     DEFAULT_SEEDS,
@@ -266,6 +270,108 @@ class TestSpans:
             consequence_span_dim(7, [SQUARE_COMMUTATOR])
 
 
+def oracle_span_vectors(n, generators):
+    """The consequence span built term by term in the free algebra: every
+    injective renaming of a multilinearized generator's letters into 1..n,
+    surrounded by every ordered split of the remaining letters, as Fraction
+    coefficient vectors deduplicated up to scaling."""
+    words = multilinear_words(n)
+    seen, vecs = set(), []
+    for g in generators:
+        gm = multilinearize(g)
+        letters = sorted(gm.generators())
+        d = len(letters)
+        if d > n:
+            continue
+        for inj in itertools.permutations(range(1, n + 1), d):
+            inst = substitute_linear(gm, {letters[j]: NcPoly.gen(inj[j]) for j in range(d)})
+            rest = sorted(set(range(1, n + 1)) - set(inj))
+            for perm in itertools.permutations(rest):
+                for cut in range(len(rest) + 1):
+                    p = NcPoly.monomial(perm[:cut]) * inst * NcPoly.monomial(perm[cut:])
+                    vec = [p.coeff(w) for w in words]
+                    first = next(c for c in vec if c)
+                    key = tuple(c / first for c in vec)
+                    if key not in seen:
+                        seen.add(key)
+                        vecs.append(vec)
+    return vecs
+
+
+class TestSpanMatrix:
+    x1, x2, x3 = NcPoly.gen(1), NcPoly.gen(2), NcPoly.gen(3)
+    GENERATORS = {
+        "square commutator": [SQUARE_COMMUTATOR],
+        "S_3": [standard_poly(3)],
+        "S_4": [standard_poly(4)],
+        "fractions": [Fraction(3, 4) * x1 * x2 * x3 - Fraction(5, 6) * x3 * x1 * x2],
+        "cubic square": [commutator(x1 ** 3, x2) * Fraction(2, 3), SQUARE_COMMUTATOR],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_builder_matches_free_algebra_construction(self, name):
+        gens = self.GENERATORS[name]
+        for n in range(3, 6):
+            oracle = oracle_span_vectors(n, gens)
+            span = structure._span_matrix(n, gens)
+            assert span.shape == (len(oracle), math.factorial(n))
+            assert exact_rank(span.tolist()) == exact_rank(oracle)
+            primitive = set()
+            for vec in oracle:
+                first = next(c for c in vec if c)
+                scaled = [c / first for c in vec]
+                den = math.lcm(*(c.denominator for c in scaled))
+                primitive.add(tuple(int(c * den) for c in scaled))
+            for row in span.tolist():
+                assert math.gcd(*row) == 1
+                assert next(c for c in row if c) > 0
+                assert tuple(row) in primitive
+
+    def test_below_generator_degree_is_empty(self):
+        assert structure._span_matrix(2, [SQUARE_COMMUTATOR]).shape == (0, 2)
+
+    def test_coefficients_beyond_int64_rejected(self):
+        g = NcPoly({(1, 2): 2**64, (2, 1): 1})
+        with pytest.raises(ValueError, match="int64"):
+            consequence_span_dim(3, [g])
+
+
+class TestSpanKernelCertificate:
+    def test_unlucky_prime_falls_back_to_exact_rank(self, monkeypatch):
+        # modulo 3 the span of [x1^2,x2] and S_3 at degree 4 has rank 14, not 18
+        want = corollary1_check(4, 2)
+        span = structure._span_matrix(4, [SQUARE_COMMUTATOR, standard_poly(3)])
+        assert rank_mod_p(span, 3) < want.span.rank == exact_rank(span.tolist())
+        exact_calls = []
+
+        def counted_exact_rank(rows):
+            exact_calls.append(len(rows))
+            return exact_rank(rows)
+
+        monkeypatch.setattr(structure, "rank_mod_p", lambda rows: rank_mod_p(rows, 3))
+        monkeypatch.setattr(structure, "exact_rank", counted_exact_rank)
+        assert corollary1_check(4, 2) == want
+        assert len(span) in exact_calls
+
+    def test_word_size_prime_needs_no_exact_span_rank(self, monkeypatch):
+        exact_calls = []
+
+        def counted_exact_rank(rows):
+            exact_calls.append(len(rows))
+            return exact_rank(rows)
+
+        monkeypatch.setattr(structure, "exact_rank", counted_exact_rank)
+        rep = corollary1_check(4, 2)
+        assert rep.ok and rep.span.rank == 18
+        assert rep.span.rows not in exact_calls
+
+    def test_failed_containment_is_reported(self):
+        # S_3 is no identity of C_3: containment fails, the span is ranked exactly
+        rep = structure.span_vs_kernel(4, 3, [standard_poly(3)], "S_3")
+        assert not rep.containment_ok and not rep.ok
+        assert rep.span.rank == consequence_span_dim(4, [standard_poly(3)]).rank
+
+
 class TestEvaluationKernel:
     def test_quotients_match_involutions(self):
         for n in (2, 3, 4):
@@ -424,6 +530,25 @@ class TestLinalg:
                 for _ in range(rng.randint(1, 6))
             ]
             assert exact_rank(rows) == rank_bareiss(rows)
+
+    def test_rank_mod_p_matches_bareiss(self):
+        import random
+
+        rng = random.Random(11)
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
+            if rng.random() < 0.5:  # force dependent rows
+                rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+            assert rank_mod_p(rows) == rank_bareiss(rows)
+        assert rank_mod_p([[2**70, 1], [1, 0]]) == 2
+        assert rank_mod_p([[0, 0]]) == rank_mod_p([]) == 0
+
+    def test_rank_mod_p_drops_when_p_divides_the_minors(self):
+        rows = [[1, 1, 0], [1, 1 + PRIME, 0]]  # its only nonzero 2x2 minor is p
+        assert rank_bareiss(rows) == 2
+        assert rank_mod_p(rows) == 1
+        assert rank_mod_p(rows, 3) == 2
 
     def test_solve_exact(self):
         sol = solve_exact([[1, 1], [1, -1]], [3, 1])
