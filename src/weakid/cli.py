@@ -107,27 +107,11 @@ def _remap(f: NcPoly, mapping: dict[int, int]) -> NcPoly:
 
 
 def _rank_report_dict(r: RankReport) -> dict:
-    return {
-        "degree": r.degree,
-        "target": r.target,
-        "rows": r.rows,
-        "cols": r.cols,
-        "rank": r.rank,
-        "kernel_dim": r.kernel_dim,
-        "quotient_dim": r.quotient_dim,
-        "seeds": [list(s) for s in r.seeds],
-    }
+    return {**asdict(r), "seeds": [list(s) for s in r.seeds]}
 
 
 def _span_kernel_dict(r: SpanKernelReport) -> dict:
-    return {
-        "ok": r.ok,
-        "degree": r.degree,
-        "span": _rank_report_dict(r.span),
-        "kernel": _rank_report_dict(r.kernel),
-        "containment_ok": r.containment_ok,
-        "predicted_quotient": r.predicted_quotient,
-    }
+    return {**asdict(r), "span": _rank_report_dict(r.span), "kernel": _rank_report_dict(r.kernel)}
 
 
 def _witness_dict(w: Witness) -> dict:
@@ -370,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide whether an expression is a weak identity")
     p.add_argument("--pair", required=True, help="clifford:<k> or m2")
-    p.add_argument("expr")
+    p.add_argument("expr", help="the polynomial; it may begin with '-'")
 
     p = sub.add_parser("dim", help="evaluation kernel / quotient dimensions")
     p.add_argument("--n", type=int, required=True)
@@ -413,9 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _dash_expression_last(argv: list[str]) -> list[str]:
+    """Move a `check` argument that begins with a single '-' but is not one
+    of its options (such as "-x1+x2") behind a '--', where argparse takes it
+    for the expression instead of an unknown option."""
+    at = 0
+    while at < len(argv) and argv[at].startswith("-"):  # options before the command
+        at += 2 if argv[at] in ("--max-degree", "--seeds") else 1
+    if argv[at:at + 1] != ["check"] or "--" in argv:
+        return argv
+    exprs = [a for a in argv[at + 1:] if a[:1] == "-" and a[:2] != "--" and a != "-h"]
+    rest = [a for a in argv[at + 1:] if a not in exprs]
+    return argv[:at + 1] + rest + ["--", *exprs] if exprs else argv
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_dash_expression_last(list(sys.argv[1:] if argv is None else argv)))
     try:
         args.seeds = _parse_seeds(args.seeds)
     except ValueError:

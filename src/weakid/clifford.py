@@ -353,7 +353,8 @@ def orbit_sign_matrix(words: Sequence[Sequence[int]], k: int) -> np.ndarray:
 
 
 def signed_sums(coeffs, signs: np.ndarray) -> np.ndarray:
-    """Exact ``coeffs @ signs`` for integer coefficients and a +-1 matrix.
+    """Exact ``coeffs @ signs`` for integer coefficients and a matrix of
+    entries in {-1, 0, 1}.
 
     A float64 (BLAS) product when every row of coefficients fits in int64
     and has sum of magnitudes below 2^53, so that every partial sum is an

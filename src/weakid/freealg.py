@@ -144,9 +144,13 @@ class NcPoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = NcPoly.one()
-        for _ in range(e):
-            out = out * self
+        out, base = NcPoly.one(), self
+        while e:  # square and multiply: powers of one element commute
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __str__(self) -> str:
@@ -170,11 +174,6 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"
-
-
-def poly_mul(f: NcPoly, g: NcPoly) -> NcPoly:
-    """Product in the free algebra: bilinear extension of word concatenation."""
-    return f * g
 
 
 def commutator(f: NcPoly, g: NcPoly) -> NcPoly:

@@ -97,9 +97,13 @@ def rank_mod_p(rows, p: int = PRIME) -> int:
     A lower bound for the rank over Q, equal to it for all but finitely many
     primes (those dividing every maximal nonzero minor).  Vectorised Gaussian
     elimination on int64 residues; each pivot step touches only the rows
-    that are nonzero in its column.
+    that are nonzero in its column.  Integers narrower than int64 are widened
+    first, so that p fits their dtype.
     """
-    a = np.atleast_2d(np.asarray(rows) % p).astype(np.int64)
+    a = np.asarray(rows)
+    if a.dtype.kind in "iu" and a.dtype.itemsize < 8:
+        a = a.astype(np.int64)
+    a = np.atleast_2d(a % p).astype(np.int64)
     nrows, ncols = a.shape
     rank = 0
     for col in range(ncols):

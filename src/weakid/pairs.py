@@ -10,10 +10,10 @@ component and evaluating at all tuples of basis elements.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import lcm, prod
 from typing import Mapping, Union
 
 import numpy as np
@@ -26,7 +26,8 @@ from .freealg import (
     multihomogeneous_components,
     multilinearize,
 )
-from .scalars import Coeff
+from .linalg import exact_rank
+from .scalars import Coeff, ParamPoly
 
 
 @dataclass(frozen=True)
@@ -153,19 +154,15 @@ class Witness:
     component: NcPoly = field(repr=False, default=None)
 
 
-def _relabel_multilinear(ml: NcPoly) -> tuple[NcPoly, list[int]]:
-    """Rename the generators of a multilinear polynomial to 1..n (sorted)."""
+def _integer_rows(ml: NcPoly) -> tuple[np.ndarray, list[int], int]:
+    """A multilinear polynomial as integer rows: its words with the letters
+    renamed to 1..n in sorted order (an int array, one row per word), the
+    coefficients times their common denominator den, and den."""
     letters = sorted(ml.generators())
-    rename = {g: i + 1 for i, g in enumerate(letters)}
-    relabeled = NcPoly({tuple(rename[i] for i in w): c for w, c in ml.terms.items()})
-    return relabeled, letters
-
-
-def _int_coeff_rows(ml: NcPoly) -> tuple[list[tuple[int, ...]], list[int]]:
-    words = [w for w, _ in ml.sorted_terms()]
-    den = lcm(*(ml.terms[w].denominator for w in words))
-    coeffs = [int(ml.terms[w] * den) for w in words]
-    return words, coeffs
+    words = np.searchsorted(letters, np.array(list(ml.terms), dtype=np.intp)) + 1
+    den = lcm(*(c.denominator for c in ml.terms.values()))
+    coeffs = [c.numerator * (den // c.denominator) for c in ml.terms.values()]
+    return words, coeffs, den
 
 
 def _clifford_component_witness(ml: NcPoly, pair: CliffordPair) -> Witness | None:
@@ -174,46 +171,83 @@ def _clifford_component_witness(ml: NcPoly, pair: CliffordPair) -> Witness | Non
     All words of ml are permutations of the same letters, so at a fixed
     basis tuple every term evaluates to a common (nonzero) q-monomial and
     blade times an integer sign; vanishing is a pure integer statement, and
-    it is enough to test one tuple per orbit of basis relabellings.
+    it is enough to test one tuple per orbit of basis relabellings.  The
+    value at the failing tuple is its signed sum over den times that
+    q-monomial and blade.
     """
-    relabeled, letters = _relabel_multilinear(ml)
-    words, coeffs = _int_coeff_rows(relabeled)
+    words, coeffs, den = _integer_rows(ml)
     sums = clifford.signed_sums(coeffs, clifford.orbit_sign_matrix(words, pair.k))
     bad = np.flatnonzero(sums)
     if bad.size == 0:
         return None
     # an orbit's representative is its lexicographically first tuple, so the
     # first failing representative is the first failing tuple overall
-    reps = clifford.orbit_representatives(len(letters), pair.k)
-    basis_idx = [int(i) for i in reps[bad[0]]]
-    assignment = {g: f"e{basis_idx[j]}" for j, g in enumerate(letters)}
-    elements = {
-        g: CliffordElt.basis_vector(basis_idx[j], pair.form)
-        for j, g in enumerate(letters)
-    }
-    value = clifford.evaluate(ml, elements, pair.form)
-    assert not value.is_zero()
-    return Witness(assignment=assignment, value=value, component=ml)
+    rep = [int(i) for i in clifford.orbit_representatives(words.shape[1], pair.k)[bad[0]]]
+    exps = clifford.tuple_q_exponents(rep, pair.k)
+    coeff = prod((pair.form.q_coeff(i) for i, e in enumerate(exps, 1) for _ in range(e)),
+                 start=ParamPoly.const(pair.k, Fraction(int(sums[bad[0]]), den)))
+    return Witness(
+        assignment={g: f"e{rep[j]}" for j, g in enumerate(sorted(ml.generators()))},
+        value=CliffordElt(pair.form, {clifford.tuple_blade(rep): coeff}),
+        component=ml,
+    )
+
+
+#: The M2 witness search takes basis tuples in blocks whose float64
+#: evaluation matrix holds about this many entries (1 MB).
+BLOCK_ENTRIES = 1 << 17
+
+
+@lru_cache(maxsize=16)
+def m2_product_table(n: int) -> np.ndarray:
+    """Entries (a, b, c, d) of the products of all 3^n sequences of E, F, H,
+    in ``itertools.product(range(3), repeat=n)`` order, by n batched 2x2
+    products.  E, F and H are signed partial permutation matrices, so every
+    product is one too and fits in int8."""
+    basis = np.array([m.entries() for m in (MAT_E, MAT_F, MAT_H)], dtype=np.int8)
+    table = np.eye(2, dtype=np.int8)[None]
+    for _ in range(n):
+        table = (table[:, None] @ basis.reshape(1, 3, 2, 2)).reshape(-1, 2, 2)
+    out = table.reshape(-1, 4)
+    out.setflags(write=False)
+    return out
+
+
+def m2_evaluation_matrix(words: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Entries of multilinear words evaluated at E, F, H basis tuples.
+
+    ``words`` is an int array of permutations of 1..n; the columns run over
+    (tuple, entry) for the tuples start..stop-1 of
+    ``itertools.product(range(3), repeat=n)``, four entries each.  Word w at
+    tuple t is the product with sequence index sum t[w_i] * 3^(n-1-i).
+    """
+    n = words.shape[1]
+    place = 3 ** np.arange(n - 1, -1, -1)
+    weight = np.empty(words.shape, dtype=np.int64)  # 3^(n-1-i) at letter w_i
+    weight[np.arange(len(words))[:, None], words - 1] = place
+    stop = 3**n if stop is None else min(stop, 3**n)
+    digits = np.arange(start, stop)[:, None] // place % 3
+    return m2_product_table(n)[weight @ digits.T].reshape(len(words), -1)
 
 
 def _matrix_component_witness(ml: NcPoly, target: MatrixPair) -> Witness | None:
-    relabeled, letters = _relabel_multilinear(ml)
-    n = len(letters)
-    basis = substitution_basis(target)
-    # product of each basis-index sequence, shared across words
-    seq_prod: dict[tuple[int, ...], Mat2] = {}
-    for seq in itertools.product(range(3), repeat=n):
-        prod = MAT_I
-        for i in seq:
-            prod = prod * basis[i][1]
-        seq_prod[seq] = prod
-    for t in itertools.product(range(3), repeat=n):
-        total = Mat2(0, 0, 0, 0)
-        for w, c in relabeled.terms.items():
-            total = total + seq_prod[tuple(t[g - 1] for g in w)] * c
-        if not total.is_zero():
-            assignment = {g: basis[t[j]][0] for j, g in enumerate(letters)}
-            return Witness(assignment=assignment, value=total, component=ml)
+    """First basis tuple of E, F, H at which a multilinear polynomial is
+    nonzero, or None; the tuples are searched in blocks, in order."""
+    words, coeffs, den = _integer_rows(ml)
+    n = words.shape[1]
+    step = max(1, BLOCK_ENTRIES // (4 * len(words)))
+    for start in range(0, 3**n, step):
+        sums = clifford.signed_sums(coeffs, m2_evaluation_matrix(words, start, start + step))
+        bad = np.flatnonzero(sums)
+        if bad.size:
+            at = bad[0] // 4
+            t = np.unravel_index(start + at, (3,) * n)
+            basis = substitution_basis(target)
+            return Witness(
+                assignment={g: basis[t[j]][0] for j, g in enumerate(sorted(ml.generators()))},
+                value=Mat2(*(Fraction(int(s), den) for s in sums[4 * at:4 * at + 4])),
+                component=ml,
+            )
     return None
 
 
@@ -252,27 +286,9 @@ def random_invertible_substitution(n: int, rng) -> dict[int, NcPoly]:
     """Random invertible linear substitution on x_1..x_n with small entries."""
     while True:
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if _det(rows):
+        if exact_rank(rows) == n:
             break
     return {
         i + 1: NcPoly({(j + 1,): rows[i][j] for j in range(n) if rows[i][j]})
         for i in range(n)
     }
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for i in range(col + 1, n):
-            fct = m[i][col] / m[col][col]
-            m[i] = [x - fct * y for x, y in zip(m[i], m[col])]
-    return det

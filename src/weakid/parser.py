@@ -15,12 +15,14 @@ standard polynomial in x1..xn.  Variables map to generator indices by
 x<N> -> 2N-1 and y<N> -> 2N, so the two families never collide.
 
 Brackets nest at most MAX_NESTING deep.  parse_poly can bound the degree
-from the syntax tree before expanding anything (degree_bound).
+from the syntax tree before expanding anything (degree_bound).  A power
+that could reach MAX_POWER_BITS-bit coefficients is refused unexpanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .freealg import NcPoly, Word, commutator, jordan, standard_poly, word_key
 
@@ -31,6 +33,7 @@ from .freealg import NcPoly, Word, commutator, jordan, standard_poly, word_key
 ExprAst = tuple
 
 MAX_NESTING = 100
+MAX_POWER_BITS = 1 << 13
 
 
 class ParseError(ValueError):
@@ -219,7 +222,7 @@ def lower_expr(ast: ExprAst) -> NcPoly:
             out = out * lower_expr(f)
         return out
     if tag == "pow":
-        return lower_expr(ast[1]) ** ast[2]
+        return _power(lower_expr(ast[1]), ast[2])
     if tag == "comm":
         return commutator(lower_expr(ast[1]), lower_expr(ast[2]))
     if tag == "jord":
@@ -230,6 +233,18 @@ def lower_expr(ast: ExprAst) -> NcPoly:
         raw = standard_poly(ast[1])
         return NcPoly({tuple(sub[i] for i in w): c for w, c in raw.terms.items()})
     raise ValueError(f"unknown AST node {tag!r}")
+
+
+def _power(base: NcPoly, e: int) -> NcPoly:
+    """base ** e; ValueError first if its coefficients could exceed
+    MAX_POWER_BITS bits.  With base = (sum of a_w w) / den in integers, every
+    coefficient of the power is at most (sum |a_w|)^e over den^e."""
+    den = lcm(*(c.denominator for c in base.terms.values()))
+    norm = int(sum(map(abs, base.terms.values())) * den)
+    bits = e * ((max(norm, 1) - 1).bit_length() + (den - 1).bit_length())
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"power ^{e} can reach {bits}-bit coefficients, above {MAX_POWER_BITS}")
+    return base ** e
 
 
 def parse_poly(text: str, max_degree: int | None = None) -> NcPoly:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +46,14 @@ from .freealg import (
 # structure.substitute_linear for the same traced run.
 from .freealg import substitute_linear  # noqa: F401
 from .linalg import exact_rank, rank_mod_p, solve_exact
-from .pairs import CliffordPair, MatrixPair, PairTarget, is_weak_identity, substitution_basis
+from .pairs import (
+    CliffordPair,
+    MatrixPair,
+    PairTarget,
+    _integer_rows,
+    is_weak_identity,
+    m2_evaluation_matrix,
+)
 
 Partition = tuple[int, ...]
 
@@ -350,18 +357,15 @@ def _span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
     nfact = len(perms)
     blocks = []  # per block of n! rows (a generator and a cut): its terms
     for g in generators:
-        gm = multilinearize(g)
-        letters = sorted(gm.generators())
-        d = len(letters)
+        words, coeffs, _ = _integer_rows(multilinearize(g))
+        d = words.shape[1]
         if d > n:
             continue
-        den = lcm(*(c.denominator for c in gm.terms.values()))
-        coeffs = [int(c * den) for c in gm.terms.values()]
         content = gcd(*coeffs)  # every row of g holds exactly these entries
         coeffs = [c // content for c in coeffs]
         if max(map(abs, coeffs)) >= 2**63:
             raise ValueError(f"generator {g} has integer coefficients beyond int64")
-        places = [[letters.index(x) for x in w] for w in gm.terms]
+        places = (words - 1).tolist()
         for cut in range(n - d + 1):
             blocks.append([([*range(d, d + cut), *t, *range(d + cut, n)], c)
                            for t, c in zip(places, coeffs)])
@@ -376,17 +380,12 @@ def _span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
     return span[np.sort(np.unique(whole_rows, return_index=True)[1])]
 
 
-def _span_report(n: int, target: str, span: np.ndarray, rank: int) -> RankReport:
-    nfact = span.shape[1]
-    return RankReport(
-        degree=n,
-        target=target,
-        rows=len(span),
-        cols=nfact,
-        rank=rank,
-        kernel_dim=nfact - rank,
-        quotient_dim=rank,
-    )
+def _rank_report(
+    n: int, target: str, rows: int, cols: int, rank: int, seeds: Sequence = ()
+) -> RankReport:
+    """Report of a rank over the n! multilinear words of degree n."""
+    kernel_dim = factorial(n) - rank
+    return RankReport(n, target, rows, cols, rank, kernel_dim, rank, tuple(map(tuple, seeds)))
 
 
 def consequence_span_dim(
@@ -395,12 +394,8 @@ def consequence_span_dim(
     """Exact dimension of the degree-n multilinear consequence span."""
     _check_rank_degree(n, allow_degree_7)
     span = _span_matrix(n, generators)
-    return _span_report(
-        n,
-        f"consequence span of {len(generators)} generator(s)",
-        span,
-        exact_rank(span.tolist()),
-    )
+    target = f"consequence span of {len(generators)} generator(s)"
+    return _rank_report(n, target, len(span), span.shape[1], exact_rank(span.tolist()))
 
 
 def in_consequence_span(f: NcPoly, n: int, generators: Sequence[NcPoly]) -> bool:
@@ -471,7 +466,9 @@ def evaluation_kernel(
     of basis tuples under relabelling (the other columns repeat these up to
     sign).  Each requested prime specialization (seeds) re-ranks the columns
     scaled by their specialized q-monomials and spot-checks a sample of
-    entries against symbolic evaluation at those form values.
+    entries against symbolic evaluation at those form values.  For the M2
+    pair the columns are the entries of the words at every basis tuple of
+    E, F, H (``m2_evaluation_matrix``); the distinct nonzero ones are ranked.
     """
     _check_rank_degree(n, allow_degree_7)
     words = multilinear_words(n)
@@ -494,45 +491,13 @@ def evaluation_kernel(
                 )
             _spot_check_orbit_signs(words, signs, form, rng)
         desc = f"clifford k={k}" + (" (symbolic q)" if target.form.values is None else "")
-        return RankReport(
-            degree=n,
-            target=desc,
-            rows=nfact,
-            cols=k ** n,
-            rank=rank,
-            kernel_dim=nfact - rank,
-            quotient_dim=rank,
-            seeds=tuple(tuple(s) for s in seeds),
-        )
+        return _rank_report(n, desc, nfact, k ** n, rank, seeds)
     if isinstance(target, MatrixPair):
-        from .pairs import MAT_I
-
-        basis = [elt for _, elt in substitution_basis(target)]
-        seq_prod: dict[tuple[int, ...], object] = {}
-        for seq in itertools.product(range(3), repeat=n):
-            prod = MAT_I
-            for i in seq:
-                prod = prod * basis[i]
-            seq_prod[seq] = prod
-        seen: set[tuple] = set()
-        vecs: list[tuple[int, ...]] = []
-        for t in itertools.product(range(3), repeat=n):
-            mats = [seq_prod[tuple(t[g - 1] for g in w)] for w in words]
-            for pos in range(4):
-                vec = tuple(int(m.entries()[pos]) for m in mats)
-                if any(vec) and vec not in seen:
-                    seen.add(vec)
-                    vecs.append(vec)
-        rank = exact_rank(vecs)
-        return RankReport(
-            degree=n,
-            target="m2 (traceless substitution space)",
-            rows=nfact,
-            cols=4 * 3 ** n,
-            rank=rank,
-            kernel_dim=nfact - rank,
-            quotient_dim=rank,
-        )
+        cols = m2_evaluation_matrix(np.array(words)).T
+        # the first copy of each distinct nonzero column, in order (the void-view
+        # np.unique of _span_matrix raised the peak RSS of a kernel pass by 0.4 MB)
+        rank = exact_rank(list(dict.fromkeys(map(tuple, cols[cols.any(axis=1)].tolist()))))
+        return _rank_report(n, "m2 (traceless substitution space)", nfact, 4 * 3 ** n, rank)
     raise TypeError(f"unknown pair target {target!r}")
 
 
@@ -579,7 +544,7 @@ def span_vs_kernel(
     return SpanKernelReport(
         ok=containment and rank == kernel.kernel_dim,
         degree=n,
-        span=_span_report(n, target, span, rank),
+        span=_rank_report(n, target, len(span), span.shape[1], rank),
         kernel=kernel,
         containment_ok=containment,
         predicted_quotient=sum(hook_dim(p) for p in partitions(n, max_rows=k)),
@@ -781,17 +746,13 @@ def _solve_modulo_identities(
         if multidegree(c) != md:
             raise ValueError("candidate multidegree does not match the left-hand side")
     polys = [multilinearize(p) for p in [lhs, *candidates]]
-    letters = sorted(polys[0].generators())
-    rename = {g: i + 1 for i, g in enumerate(letters)}
-    big_n = len(letters)
+    letters = polys[0].generators()
     columns = []
     for ml in polys:
-        if sorted(ml.generators()) != letters:
+        if ml.generators() != letters:
             raise AssertionError("polarization produced mismatched variable sets")
-        words = [tuple(rename[i] for i in w) for w in ml.terms]
-        den = lcm(*(c.denominator for c in ml.terms.values()))
-        sums = signed_sums([int(c * den) for c in ml.terms.values()],
-                           orbit_sign_matrix(words, big_n))
+        words, coeffs, den = _integer_rows(ml)
+        sums = signed_sums(coeffs, orbit_sign_matrix(words, len(letters)))
         columns.append([Fraction(int(v), den) for v in sums])
     rows = [list(eq[1:]) for eq in zip(*columns)]
     return solve_exact(rows, columns[0])

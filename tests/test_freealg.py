@@ -51,6 +51,12 @@ class TestNcPolyRing:
 
     def test_pow(self):
         assert x1 ** 3 == x1 * x1 * x1
+        f = x1 - 2 * x2 + Fraction(1, 3)
+        want = NcPoly.one()
+        for e in range(12):
+            assert f ** e == want
+            want = want * f
+        assert (NcPoly.one() * 2) ** 100000 == NcPoly({(): 2**100000})
         assert x1 ** 0 == NcPoly.one()
         with pytest.raises(ValueError):
             x1 ** -1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakid import pairs
 from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate, word_sign_vector
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
@@ -26,6 +27,7 @@ from weakid.pairs import (
     Mat2,
     MatrixPair,
     is_weak_identity,
+    m2_product_table,
     mat2_evaluate,
     random_invertible_substitution,
     substitution_basis,
@@ -211,6 +213,118 @@ class TestOrbitWitness:
         assert (plain is None) == (scaled is None)
         if plain is not None:
             assert plain.assignment == scaled.assignment
+
+
+class TestCliffordWitnessValue:
+    def test_value_equals_symbolic_evaluation(self):
+        """The witness value built from the failing sum, q-monomial and blade
+        is what symbolic evaluation at the witness tuple gives."""
+        rng = random.Random(29)
+        checked = {True: 0, False: 0}
+        for _ in range(150):
+            n, k = rng.randint(1, 5), rng.randint(1, 4)
+            symbolic = rng.random() < 0.5
+            values = None if symbolic else [
+                Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7))) for _ in range(k)
+            ]
+            form = FormParams(k, values)
+            letters = sorted(rng.sample(range(1, 10), n))
+            perms = list(itertools.permutations(letters))
+            words = rng.sample(perms, rng.randint(1, min(6, len(perms))))
+            f = NcPoly({w: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for w in words})
+            if f.is_zero():
+                continue
+            w = is_weak_identity(f, CliffordPair(form))
+            if w is None:
+                continue
+            assign = {g: CliffordElt.basis_vector(int(w.assignment[g][1:]), form) for g in letters}
+            want = evaluate(f, assign, form)
+            assert w.value == want and str(w.value) == str(want)
+            checked[symbolic] += 1
+        assert min(checked.values()) > 20
+
+
+def oracle_matrix_witness(ml: NcPoly):
+    """First failing E, F, H tuple of a multilinear polynomial and its value,
+    by multiplying out Fraction 2x2 matrices word by word, tuple by tuple."""
+    letters = sorted(ml.generators())
+    rename = {g: i + 1 for i, g in enumerate(letters)}
+    relabeled = {tuple(rename[g] for g in w): c for w, c in ml.terms.items()}
+    basis = substitution_basis(MatrixPair())
+    seq_prod = {}
+    for seq in itertools.product(range(3), repeat=len(letters)):
+        prod = Mat2(1, 0, 0, 1)
+        for i in seq:
+            prod = prod * basis[i][1]
+        seq_prod[seq] = prod
+    for t in itertools.product(range(3), repeat=len(letters)):
+        total = Mat2(0, 0, 0, 0)
+        for w, c in relabeled.items():
+            total = total + seq_prod[tuple(t[g - 1] for g in w)] * c
+        if not total.is_zero():
+            return {g: basis[t[j]][0] for j, g in enumerate(letters)}, total
+    return None
+
+
+def random_multilinear(rng: random.Random, n: int, coeff) -> NcPoly:
+    letters = sorted(rng.sample(range(1, 10), n))
+    perms = list(itertools.permutations(letters))
+    words = rng.sample(perms, rng.randint(1, min(8, len(perms))))
+    return NcPoly({w: coeff() or 1 for w in words})
+
+
+class TestMatrixWitness:
+    def test_product_table_matches_mat2_products(self):
+        basis = [m for _, m in substitution_basis(MatrixPair())]
+        for n in range(5):
+            table = m2_product_table(n)
+            assert table.shape == (3**n, 4) and table.dtype == np.int8
+            for row, seq in zip(table, itertools.product(range(3), repeat=n)):
+                prod = Mat2(1, 0, 0, 1)
+                for i in seq:
+                    prod = prod * basis[i]
+                assert row.tolist() == list(prod.entries())
+
+    def check_against_oracle(self, f: NcPoly) -> bool:
+        want = oracle_matrix_witness(f)
+        w = is_weak_identity(f, MatrixPair())
+        if want is None:
+            assert w is None
+            return False
+        assert (w.assignment, w.value) == want
+        assert str(w.value) == str(want[1])
+        return True
+
+    def test_fraction_coefficients(self):
+        rng = random.Random(37)
+        coeff = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))  # noqa: E731
+        fails = sum(self.check_against_oracle(random_multilinear(rng, rng.randint(1, 5), coeff))
+                    for _ in range(80))
+        assert fails > 40
+
+    def test_coefficients_beyond_int64_and_2_62(self):
+        rng = random.Random(41)
+        big = (2**62 + 1, 2**63, 3 * 2**70, Fraction(2**65 + 3, 7))
+        coeff = lambda: rng.choice(big) * rng.choice((1, -1, 2))  # noqa: E731
+        fails = sum(self.check_against_oracle(random_multilinear(rng, rng.randint(1, 4), coeff))
+                    for _ in range(30))
+        assert fails > 15
+        # a scaled identity stays an identity on the Python-int path
+        assert is_weak_identity(standard_poly(4) * 2**70, MatrixPair()) is None
+
+    def test_failing_tuple_in_a_later_block(self, monkeypatch):
+        x4 = NcPoly.gen(4)
+        f = standard_poly(3) * x4  # first failing tuple (E, F, H, E), index 15
+        want = oracle_matrix_witness(f)
+        assert want[0] == {1: "E", 2: "F", 3: "H", 4: "E"}
+        rng = random.Random(43)
+        coeff = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2))  # noqa: E731
+        cases = [random_multilinear(rng, rng.randint(2, 5), coeff) for _ in range(20)]
+        for entries in (4, 8, 12, 4 * 24 * 2):  # 1, 2, 3 tuples per block; 2 for f
+            monkeypatch.setattr(pairs, "BLOCK_ENTRIES", entries)
+            assert self.check_against_oracle(f)
+            for g in cases:
+                self.check_against_oracle(g)
 
 
 class TestBasisSufficiency:

@@ -9,6 +9,7 @@ from weakid.cli import Report, build_parser, main
 from weakid.freealg import NcPoly, commutator, jordan
 from weakid.parser import (
     MAX_NESTING,
+    MAX_POWER_BITS,
     ParseError,
     degree_bound,
     format_expr,
@@ -216,6 +217,29 @@ class TestCli:
         assert main(["check", "--pair", "clifford:2", expr]) == 2
         assert time.monotonic() - start < 1.0
         assert "above the cap 7" in capsys.readouterr().err
+
+    def test_constant_to_huge_power_exit_2(self, capsys):
+        # degree bound 0 passes the degree cap; the power is refused unexpanded
+        start = time.monotonic()
+        assert main(["check", "--pair", "clifford:2", "(1+1)^100000000"]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "coefficients" in capsys.readouterr().err
+        assert parse_poly("(1/2 + x1)^3") == parse_poly("(1/2 + x1)*(1/2 + x1)*(1/2 + x1)")
+        for text in (f"2^{MAX_POWER_BITS + 1}", f"(1/3)^{MAX_POWER_BITS}", "(x1 - 2*x2)^9000"):
+            with pytest.raises(ValueError, match="coefficients"):
+                parse_poly(text)
+        assert parse_poly(f"2^{MAX_POWER_BITS}") == NcPoly({(): 2**MAX_POWER_BITS})
+
+    @pytest.mark.parametrize("pair", ["clifford:2", "m2"])
+    @pytest.mark.parametrize("expr", ["-x1+x2", "-[x1^2,x2]", "-1/2*x1*x2 + 1/2*x2*x1"])
+    def test_expression_with_leading_minus(self, capsys, pair, expr):
+        def run(*argv):
+            code = main(["--json", *argv])
+            return code, json.loads(capsys.readouterr().out)["outcome"]
+
+        want = run("check", "--pair", pair, "--", expr)
+        assert run("check", "--pair", pair, expr) == want
+        assert run("check", expr, "--pair", pair) == want
 
     def test_deep_nesting_exit_2(self, capsys):
         expr = "(" * 2000 + "x1" + ")" * 2000

@@ -2,11 +2,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from weakid import structure
+from weakid.clifford import orbit_sign_matrix
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
     NcPoly,
@@ -394,6 +396,12 @@ class TestEvaluationKernel:
         assert dims == sorted(dims)
         assert dims[-1] == dims[-2] == involutions(n)
 
+    @pytest.mark.parametrize("n, rank", [(1, 1), (2, 2), (3, 4), (4, 9), (5, 21), (6, 51)])
+    def test_matrix_pair_ranks(self, n, rank):
+        rep = evaluation_kernel(n, MatrixPair())
+        assert (rep.rank, rep.kernel_dim) == (rank, math.factorial(n) - rank)
+        assert (rep.rows, rep.cols) == (math.factorial(n), 4 * 3**n)
+
     def test_matrix_pair(self):
         rep = evaluation_kernel(4, MatrixPair())
         assert rep.quotient_dim == 9
@@ -412,6 +420,8 @@ class TestEvaluationKernel:
             evaluation_kernel(3, CliffordPair.symbolic(4), seeds=((2, 3, 5),))
 
     def test_seed_spot_check_catches_a_wrong_sign(self, monkeypatch):
+        import numpy as np
+
         from weakid import structure
 
         real = structure.orbit_sign_matrix
@@ -543,6 +553,14 @@ class TestLinalg:
             assert rank_mod_p(rows) == rank_bareiss(rows)
         assert rank_mod_p([[2**70, 1], [1, 0]]) == 2
         assert rank_mod_p([[0, 0]]) == rank_mod_p([]) == 0
+
+    def test_rank_mod_p_widens_narrow_integers(self):
+        # int8 input used to raise OverflowError: p does not fit in int8
+        signs = orbit_sign_matrix(multilinear_words(4), 4)
+        assert signs.dtype == np.int8
+        assert rank_mod_p(signs) == exact_rank(signs.tolist()) == 10
+        assert rank_mod_p(signs.T.astype(np.int16)) == 10
+        assert rank_mod_p(np.array([[2**70, 1], [1, 0]], dtype=object)) == 2
 
     def test_rank_mod_p_drops_when_p_divides_the_minors(self):
         rows = [[1, 1, 0], [1, 1 + PRIME, 0]]  # its only nonzero 2x2 minor is p
