@@ -115,9 +115,18 @@ def _span_kernel_dict(r: SpanKernelReport) -> dict:
 
 
 def _witness_dict(w: Witness) -> dict:
+    # the value in full: lift Python's cap on int-to-str digits while printing
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        value = str(w.value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return {
         "assignment": {var_name(g): label for g, label in sorted(w.assignment.items())},
-        "value": str(w.value),
+        "value": value,
     }
 
 

@@ -1,10 +1,13 @@
-"""Exact rational linear algebra: rank and linear solving, no floating point,
-plus rank over a word-size prime field as a lower bound for the rational rank."""
+"""Exact rational linear algebra: rank and linear solving, no floating point.
+
+Ranks over a word-size prime field are lower bounds for the rational rank;
+certified_rank makes one exact by checking a lifted kernel basis.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -12,6 +15,16 @@ import numpy as np
 #: The Mersenne prime 2^31 - 1: residues below 2^31, so the product of two
 #: fits in int64 with room for one subtraction.
 PRIME = 2**31 - 1
+#: A second prime below 2^31, for a Chinese-remainder lift in certified_rank.
+PRIME2 = 2**31 - 19
+
+#: Rows updated together in one pivot step of the elimination.
+BLOCK_ROWS = 128
+#: Matrix entries per row block when reducing modulo p and in the exact
+#: check of certified_rank.
+BLOCK_ENTRIES = 1 << 15
+#: Bound on the entries of a lifted kernel vector, so that they fit in int64.
+LIFT_LIMIT = 1 << 62
 
 
 def _int_row(row: Sequence) -> list[int]:
@@ -95,32 +108,185 @@ def rank_mod_p(rows, p: int = PRIME) -> int:
     """Rank over GF(p) of an integer matrix, for a prime p < 2^31.
 
     A lower bound for the rank over Q, equal to it for all but finitely many
-    primes (those dividing every maximal nonzero minor).  Vectorised Gaussian
-    elimination on int64 residues; each pivot step touches only the rows
-    that are nonzero in its column.  Integers narrower than int64 are widened
-    first, so that p fits their dtype.
+    primes (those dividing every maximal nonzero minor).
     """
-    a = np.asarray(rows)
-    if a.dtype.kind in "iu" and a.dtype.itemsize < 8:
-        a = a.astype(np.int64)
-    a = np.atleast_2d(a % p).astype(np.int64)
+    return len(_echelon(_residues(_integer_matrix(rows), p), p, reduced=False))
+
+
+def _integer_matrix(rows) -> np.ndarray:
+    """rows as a 2-d array whose products with int64 stay int64: a signed or
+    narrow unsigned integer dtype, else Python ints (object).  A float
+    matrix is refused, so that no rounded entry reaches an exact check."""
+    a = np.atleast_2d(np.asarray(rows))
+    if a.dtype.kind in "bi" or (a.dtype.kind == "u" and a.dtype.itemsize < 8):
+        return a
+    if a.dtype.kind in "uO" or a.size == 0:
+        return a.astype(object)
+    raise TypeError(f"expected an integer matrix, not dtype {a.dtype}")
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """The entries of an _integer_matrix modulo p < 2^31 as a fresh C-ordered
+    int32 matrix, half the size of int64.  Reduced through int64 (or Python
+    ints) in blocks of rows."""
+    wide = object if a.dtype == object else np.int64
+    out = np.empty(a.shape, dtype=np.int32)
+    for rows in _row_blocks(a):
+        out[rows] = a[rows].astype(wide) % p
+    return out
+
+
+def _row_blocks(a: np.ndarray):
+    """Slices of a's rows, about BLOCK_ENTRIES entries each."""
+    step = max(1, BLOCK_ENTRIES // max(1, a.shape[1]))
+    return (slice(start, start + step) for start in range(0, a.shape[0], step))
+
+
+def _echelon(a: np.ndarray, p: int, reduced: bool) -> list[int]:
+    """Row-reduce the int32 residues a modulo p in place; the pivot columns.
+
+    Each pivot row is scaled to a leading 1 and cleared from the rows below
+    it, or with ``reduced`` from every other row (reduced echelon form).  A
+    pivot step touches only the rows that are nonzero in its column,
+    BLOCK_ROWS at a time, in int64 (a product of two residues is below
+    2^62), so the temporaries stay small.
+    """
     nrows, ncols = a.shape
-    rank = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         nz = np.flatnonzero(a[rank:, col])
         if nz.size == 0:
             continue
-        pivot = rank + nz[0]
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
-        below = rank + 1 + np.flatnonzero(a[rank + 1:, col])
-        if below.size:
-            a[below, col:] = (a[below, col:] - a[below, col, None] * a[rank, col:]) % p
-        rank += 1
-    return rank
+        if nz[0]:
+            a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
+        prow = a[rank, col:].astype(np.int64)
+        prow *= pow(int(prow[0]), p - 2, p)
+        prow %= p
+        a[rank, col:] = prow
+        hit = a[:, col] != 0
+        hit[rank] = False
+        if not reduced:
+            hit[:rank] = False
+        rows = np.flatnonzero(hit)
+        for start in range(0, rows.size, BLOCK_ROWS):
+            idx = rows[start : start + BLOCK_ROWS]
+            block = a[idx, col:].astype(np.int64)
+            block -= block[:, :1] * prow
+            block %= p
+            a[idx, col:] = block
+        pivots.append(col)
+    return pivots
+
+
+def _rational(u: np.ndarray, m: int, bound: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Arrays num, den with num = u * den mod m, |num| <= bound and
+    0 < den <= bound, entrywise for the residues u (int64, m < 2^62), by the
+    extended Euclidean algorithm on all entries at once; None if some entry
+    has no such fraction.  Every intermediate is at most m in magnitude."""
+    r0, r1 = np.full_like(u, m), u.copy()
+    t0, t1 = np.zeros_like(u), np.ones_like(u)
+    active = r1 > bound
+    while active.any():
+        i = np.flatnonzero(active)
+        q = r0[i] // r1[i]
+        r0[i], r1[i] = r1[i], r0[i] - q * r1[i]
+        t0[i], t1[i] = t1[i], t0[i] - q * t1[i]
+        active[i] = r1[i] > bound
+    if not (np.abs(t1) <= bound).all() or (np.gcd(r1, t1) != 1).any():
+        return None
+    sign = np.where(t1 < 0, -1, 1)
+    return r1 * sign, t1 * sign
+
+
+def _lift(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Integer kernel vectors from their residues modulo m < 2^62.
+
+    Column j of k holds the pivot entries of the kernel vector with a 1 at
+    the j-th free column.  Signed residues of magnitude at most sqrt(m/2)
+    are taken as integers, the others by rational reconstruction; each
+    vector is then scaled by the lcm of its denominators.  Returns the
+    scaled pivot entries and the scales (the free-column entries), or None
+    if some entry has no reconstruction or a scaled entry reaches 2^62.
+    """
+    bound = isqrt(m // 2)
+    k[k > m // 2] -= m
+    big = np.abs(k) > bound
+    scales = np.ones(k.shape[1], dtype=np.int64)
+    if not big.any():
+        return k, scales
+    fracs = _rational(k[big] % m, m, bound)
+    if fracs is None:
+        return None
+    den = np.ones_like(k)
+    k[big], den[big] = fracs
+    for row in den[big.any(axis=1)]:  # the lcm of each column's denominators
+        g = np.gcd(scales, row)
+        if (scales // g > LIFT_LIMIT // row).any():
+            return None
+        scales = scales // g * row
+    factor = scales // den
+    if (np.abs(k) > LIFT_LIMIT // factor).any():
+        return None
+    return k * factor, scales
+
+
+def _in_kernel(a: np.ndarray, pivots: list[int], free: np.ndarray, x: np.ndarray,
+               scales: np.ndarray) -> bool:
+    """Whether a @ X == 0 exactly, for X with rows x at the pivot columns
+    and diag(scales) at the free columns: in int64 row blocks when no partial
+    sum can reach 2^62, in Python ints otherwise (the float64 estimate of
+    the sums is off by far less than the factor 2 of margin)."""
+    height = (np.abs(x).sum(axis=0, dtype=np.float64) + scales).max()
+    if a.dtype == object or max(-int(a.min()), int(a.max())) * height >= 2.0**61:
+        a, x, scales = a.astype(object), x.astype(object), scales.astype(object)
+    for rows in _row_blocks(a):
+        block = a[rows]
+        if (block[:, pivots] @ x + block[:, free] * scales).any():
+            return False
+    return True
+
+
+def certified_rank(rows) -> int:
+    """Rank over Q of an integer matrix, certified through a prime field.
+
+    With the smaller dimension as the c columns, one Gauss-Jordan pass
+    modulo PRIME gives the rank r_p <= rank_Q and the c - r_p kernel vectors
+    of the reduced echelon form, independent through their identity block
+    at the free columns.  Lifted to integers (_lift) and checked exactly to
+    vanish under the matrix, they prove rank_Q <= r_p.  If some entry has
+    no reconstruction modulo PRIME, the residues modulo PRIME2 are combined
+    with them (Chinese remainders) and lifted again.  If that fails too, or
+    the check fails (an unlucky prime), the rank comes from exact_rank.
+    """
+    a = _integer_matrix(rows)
+    if 0 in a.shape:
+        return 0
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    p1, p2 = PRIME, PRIME2
+    res = _residues(a, p1)
+    pivots = _echelon(res, p1, reduced=True)
+    if len(pivots) == a.shape[1]:
+        return len(pivots)
+    free = np.ones(a.shape[1], dtype=bool)
+    free[pivots] = False
+    k1 = -res[: len(pivots)][:, free].astype(np.int64) % p1
+    del res
+    lifted = _lift(k1.copy(), p1)
+    if lifted is None:
+        res = _residues(a, p2)
+        if _echelon(res, p2, reduced=True) == pivots:
+            k2 = -res[: len(pivots)][:, free].astype(np.int64) % p2
+            del res
+            # k1 + p1 * t < p1 * p2 < 2^62, and so is every product on the way
+            t = (k2 - k1) % p2 * pow(p1, -1, p2) % p2
+            lifted = _lift(k1 + p1 * t, p1 * p2)
+    if lifted is not None and _in_kernel(a, pivots, free, *lifted):
+        return len(pivots)
+    return exact_rank(a.tolist())
 
 
 def solve_exact(

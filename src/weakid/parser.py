@@ -15,14 +15,15 @@ standard polynomial in x1..xn.  Variables map to generator indices by
 x<N> -> 2N-1 and y<N> -> 2N, so the two families never collide.
 
 Brackets nest at most MAX_NESTING deep.  parse_poly can bound the degree
-from the syntax tree before expanding anything (degree_bound).  A power
-that could reach MAX_POWER_BITS-bit coefficients is refused unexpanded.
+and the number of terms from the syntax tree before expanding anything
+(degree_bound, term_bound).  A power that could reach MAX_POWER_BITS-bit
+coefficients is refused unexpanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 
 from .freealg import NcPoly, Word, commutator, jordan, standard_poly, word_key
 
@@ -34,6 +35,7 @@ ExprAst = tuple
 
 MAX_NESTING = 100
 MAX_POWER_BITS = 1 << 13
+MAX_TERMS = 10**6
 
 
 class ParseError(ValueError):
@@ -203,6 +205,28 @@ def degree_bound(ast: ExprAst) -> int:
     raise ValueError(f"unknown AST node {tag!r}")
 
 
+def term_bound(ast: ExprAst) -> int:
+    """An upper bound for the number of terms of the AST's polynomial,
+    without expanding it, saturated at MAX_TERMS + 1.  A subtree of degree
+    bound 0 is a single constant term."""
+    tag = ast[0]
+    if tag in ("num", "var") or degree_bound(ast) == 0:
+        return 1
+    if tag == "sum":
+        bound = sum(term_bound(t) for _, t in ast[1])
+    elif tag == "prod":
+        bound = prod(term_bound(f) for f in ast[1])
+    elif tag == "pow":
+        bound = term_bound(ast[1]) ** min(ast[2], 64)  # 2^64 is past the cap
+    elif tag in ("comm", "jord"):
+        bound = 2 * term_bound(ast[1]) * term_bound(ast[2])
+    elif tag == "std":
+        bound = factorial(min(ast[1], 20))  # 20! is past the cap
+    else:
+        raise ValueError(f"unknown AST node {tag!r}")
+    return min(bound, MAX_TERMS + 1)
+
+
 def lower_expr(ast: ExprAst) -> NcPoly:
     """Lower an AST to a free-algebra polynomial."""
     tag = ast[0]
@@ -249,12 +273,15 @@ def _power(base: NcPoly, e: int) -> NcPoly:
 
 def parse_poly(text: str, max_degree: int | None = None) -> NcPoly:
     """Parse and expand; with max_degree, an expression whose degree bound
-    exceeds it raises ValueError before anything is expanded."""
+    exceeds it, or whose term bound exceeds MAX_TERMS, raises ValueError
+    before anything is expanded."""
     ast = parse_expr(text)
     if max_degree is not None:
         bound = degree_bound(ast)
         if bound > max_degree:
             raise ValueError(f"expression degree can reach {bound}, above the cap {max_degree}")
+        if term_bound(ast) > MAX_TERMS:
+            raise ValueError(f"expression can expand to more than {MAX_TERMS} terms")
     return lower_expr(ast)
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,7 +45,9 @@ from .freealg import (
 # Unused here since spans are built as integer matrices; kept importable as
 # structure.substitute_linear for the same traced run.
 from .freealg import substitute_linear  # noqa: F401
-from .linalg import exact_rank, rank_mod_p, solve_exact
+# exact_rank is unused here since every rank is certified; kept importable
+# as structure.exact_rank for the same traced run.
+from .linalg import certified_rank, exact_rank, rank_mod_p, solve_exact  # noqa: F401
 from .pairs import (
     CliffordPair,
     MatrixPair,
@@ -308,7 +310,11 @@ class RankReport:
     """Exact rank data for a degree-n multilinear computation.
 
     rows x cols is the assembled matrix shape (before deduplication);
-    kernel_dim = n! - rank and quotient_dim = rank always hold.
+    kernel_dim = n! - rank and quotient_dim = rank always hold.  The rank
+    is exact over Q: linalg.certified_rank takes it modulo 2^31 - 1 (a lower
+    bound) and proves the upper bound with a kernel basis lifted to integers
+    and checked exactly, else ranks exactly.  A span rank of span_vs_kernel
+    may instead meet the exact kernel dimension modulo the prime.
     """
 
     degree: int
@@ -340,9 +346,16 @@ def _permutation_index(words: np.ndarray) -> np.ndarray:
     return later_smaller.sum(axis=2) @ weights
 
 
+def _signed_dtype(top: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -top..top (int8 for most
+    generators and q-monomials); object, for Python ints, beyond int64."""
+    return np.min_scalar_type(-top - 1)
+
+
 def _span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
     """Integer rows spanning the degree-n multilinear slice of the GL-ideal,
-    one column per word of multilinear_words(n), deduplicated up to scaling.
+    one column per word of multilinear_words(n), deduplicated up to scaling,
+    in the narrowest signed integer dtype that holds the entries.
 
     A consequence is u * g(x_{i_1},..,x_{i_d}) * v for a multilinearized
     generator g in d letters, an injective renaming i and words u, v in the
@@ -356,6 +369,7 @@ def _span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
     perms = np.array(multilinear_words(n))
     nfact = len(perms)
     blocks = []  # per block of n! rows (a generator and a cut): its terms
+    top = 0  # the largest coefficient magnitude
     for g in generators:
         words, coeffs, _ = _integer_rows(multilinearize(g))
         d = words.shape[1]
@@ -363,13 +377,14 @@ def _span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
             continue
         content = gcd(*coeffs)  # every row of g holds exactly these entries
         coeffs = [c // content for c in coeffs]
-        if max(map(abs, coeffs)) >= 2**63:
+        top = max([top, *map(abs, coeffs)])
+        if top >= 2**63:
             raise ValueError(f"generator {g} has integer coefficients beyond int64")
         places = (words - 1).tolist()
         for cut in range(n - d + 1):
             blocks.append([([*range(d, d + cut), *t, *range(d + cut, n)], c)
                            for t, c in zip(places, coeffs)])
-    span = np.zeros((len(blocks) * nfact, nfact), dtype=np.int64)
+    span = np.zeros((len(blocks) * nfact, nfact), dtype=_signed_dtype(top))
     for b, terms in enumerate(blocks):
         for cols, c in terms:
             span[np.arange(b * nfact, (b + 1) * nfact), _permutation_index(perms[:, cols])] = c
@@ -395,7 +410,7 @@ def consequence_span_dim(
     _check_rank_degree(n, allow_degree_7)
     span = _span_matrix(n, generators)
     target = f"consequence span of {len(generators)} generator(s)"
-    return _rank_report(n, target, len(span), span.shape[1], exact_rank(span.tolist()))
+    return _rank_report(n, target, len(span), span.shape[1], certified_rank(span))
 
 
 def in_consequence_span(f: NcPoly, n: int, generators: Sequence[NcPoly]) -> bool:
@@ -407,8 +422,12 @@ def in_consequence_span(f: NcPoly, n: int, generators: Sequence[NcPoly]) -> bool
     md = multidegree(f)
     if sorted(md) != list(range(1, n + 1)) or any(d != 1 for d in md.values()):
         raise ValueError("f must be multilinear in x1..xn")
-    rows = _span_matrix(n, generators).tolist()
-    return exact_rank(rows + [[f.coeff(w) for w in words]]) == exact_rank(rows)
+    span = _span_matrix(n, generators)
+    coeffs = [f.coeff(w) for w in words]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    row = np.array(ints, dtype=_signed_dtype(max(map(abs, ints))))
+    return certified_rank(np.vstack([span, row])) == certified_rank(span)
 
 
 def _seed_form(k: int, primes: Sequence[int]) -> FormParams:
@@ -462,7 +481,7 @@ def evaluation_kernel(
     The kernel is the space of multilinear weak identities of degree n; the
     quotient dimension equals the rank.  For Clifford targets every column
     factors as a nonzero parameter monomial times an integer sign vector, so
-    the generic rank is computed exactly on the sign vectors, one per orbit
+    the generic rank is certified_rank of the sign vectors, one per orbit
     of basis tuples under relabelling (the other columns repeat these up to
     sign).  Each requested prime specialization (seeds) re-ranks the columns
     scaled by their specialized q-monomials and spot-checks a sample of
@@ -477,13 +496,13 @@ def evaluation_kernel(
         k = target.k
         forms = [_seed_form(k, primes) for primes in seeds]
         signs = orbit_sign_matrix(words, k)
-        cols = signs.T.tolist()
-        rank = exact_rank(cols)
+        rank = certified_rank(signs)
         reps = orbit_representatives(n, k).tolist()
         rng = random.Random(0)
         for form in forms:
             qvals = [_q_value(r, form) for r in reps]
-            srank = exact_rank([[q * s for s in col] for q, col in zip(qvals, cols)])
+            scale = np.array(qvals, dtype=_signed_dtype(max(map(abs, qvals))))
+            srank = certified_rank(signs * scale)
             if srank != rank:
                 raise ArithmeticError(
                     f"specialized rank {srank} at form values {form.values} disagrees "
@@ -496,7 +515,8 @@ def evaluation_kernel(
         cols = m2_evaluation_matrix(np.array(words)).T
         # the first copy of each distinct nonzero column, in order (the void-view
         # np.unique of _span_matrix raised the peak RSS of a kernel pass by 0.4 MB)
-        rank = exact_rank(list(dict.fromkeys(map(tuple, cols[cols.any(axis=1)].tolist()))))
+        distinct = list(dict.fromkeys(map(tuple, cols[cols.any(axis=1)].tolist())))
+        rank = certified_rank(np.array(distinct, dtype=cols.dtype))
         return _rank_report(n, "m2 (traceless substitution space)", nfact, 4 * 3 ** n, rank)
     raise TypeError(f"unknown pair target {target!r}")
 
@@ -530,8 +550,8 @@ def span_vs_kernel(
     When it holds, rank_p(span) <= rank_Q(span) <= n! - rank_Q(E), the
     kernel dimension from the exact evaluation rank, so a rank modulo the
     prime that reaches the kernel dimension is the exact span rank.
-    Otherwise (no containment, or an unlucky prime) the span is ranked
-    exactly.
+    Otherwise (no containment, or an unlucky prime) the span rank comes
+    from certified_rank.
     """
     kernel = evaluation_kernel(
         n, CliffordPair.symbolic(k), seeds=seeds, allow_degree_7=allow_degree_7
@@ -540,7 +560,7 @@ def span_vs_kernel(
     containment = not signed_sums(span, orbit_sign_matrix(multilinear_words(n), k)).any()
     rank = rank_mod_p(span) if containment else None
     if rank != kernel.kernel_dim:
-        rank = exact_rank(span.tolist())
+        rank = certified_rank(span)
     return SpanKernelReport(
         ok=containment and rank == kernel.kernel_dim,
         degree=n,

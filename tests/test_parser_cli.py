@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,14 @@ from weakid.freealg import NcPoly, commutator, jordan
 from weakid.parser import (
     MAX_NESTING,
     MAX_POWER_BITS,
+    MAX_TERMS,
     ParseError,
     degree_bound,
     format_expr,
     lower_expr,
     parse_expr,
     parse_poly,
+    term_bound,
     var_index,
     var_name,
 )
@@ -146,6 +149,37 @@ class TestDegreeBound:
         assert parse_poly("x1^7", max_degree=7) == x(1) ** 7
 
 
+class TestTermBound:
+    @pytest.mark.parametrize(
+        "text,bound",
+        [
+            ("3/2", 1),
+            ("(1+1)^100000000", 1),  # a constant is one term
+            ("x1 + x2*x3 - 1", 3),
+            ("(x1 + x2)^3", 8),
+            ("(x1 + x2)*(x3 - x4 + 2)", 6),
+            ("[x1^2, x2]*y1", 2),
+            ("jord(x1 + x2, x3)", 4),
+            ("S(5)", 120),
+            ("(x1 + x2)^40", MAX_TERMS + 1),  # saturated
+            ("S(1000000000)", MAX_TERMS + 1),
+        ],
+    )
+    def test_values(self, text, bound):
+        assert term_bound(parse_expr(text)) == bound
+
+    def test_bound_never_below_term_count(self):
+        rng = random.Random(304)
+        for _ in range(100):
+            ast = parse_expr(random_expr(rng))
+            assert len(lower_expr(ast).terms) <= term_bound(ast)
+
+    def test_cap_applies_before_expansion(self):
+        with pytest.raises(ValueError, match=f"more than {MAX_TERMS} terms"):
+            parse_poly("(x1+x2+x3+x4+x5+x6+x7+x8+x9+x10)^7", max_degree=7)
+        assert len(parse_poly("(x1+x2+x3+x4+x5+x6+x7+x8+x9+x10)^3", max_degree=7).terms) == 1000
+
+
 def random_expr(rng, depth=0):
     choice = rng.random()
     if depth > 3 or choice < 0.35:
@@ -230,6 +264,24 @@ class TestCli:
                 parse_poly(text)
         assert parse_poly(f"2^{MAX_POWER_BITS}") == NcPoly({(): 2**MAX_POWER_BITS})
 
+    def test_term_count_above_cap_exit_2_before_expansion(self, capsys):
+        expr = "(" + "+".join(f"x{i}" for i in range(1, 11)) + ")^7"  # 10^7 words
+        start = time.monotonic()
+        assert main(["check", "--pair", "clifford:2", expr]) == 2
+        assert time.monotonic() - start < 1.0
+        assert f"more than {MAX_TERMS} terms" in capsys.readouterr().err
+
+    def test_witness_value_beyond_int_str_digits(self, capsys):
+        # 2^16000 has 4817 digits, above Python's default int-to-str cap of 4300
+        with localcontext() as ctx:
+            ctx.prec = 5000
+            want = f"{Decimal(2) ** 16000}*e{{1}}"
+        expr = "2^8000*2^8000*x1"
+        assert main(["check", "--pair", "clifford:2", expr]) == 1
+        assert f"value = {want}" in capsys.readouterr().out
+        assert main(["--json", "check", "--pair", "clifford:2", expr]) == 1
+        assert json.loads(capsys.readouterr().out)["outcome"]["witness"]["value"] == want
+
     @pytest.mark.parametrize("pair", ["clifford:2", "m2"])
     @pytest.mark.parametrize("expr", ["-x1+x2", "-[x1^2,x2]", "-1/2*x1*x2 + 1/2*x2*x1"])
     def test_expression_with_leading_minus(self, capsys, pair, expr):
@@ -302,6 +354,9 @@ class TestCli:
             ["--seeds", "2,3,5;7,11,13", "dim", "--n", "3", "--pair", "clifford:3"]
         ) == 0
         capsys.readouterr()
+        # a negative form value, below the largest q-monomial in magnitude
+        assert main(["--seeds=-256,3,5", "dim", "--n", "3", "--pair", "clifford:3"]) == 0
+        assert "quotient dim  4" in capsys.readouterr().out
 
     def test_max_degree_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WID_MAX_DEGREE", "3")

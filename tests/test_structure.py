@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weakid import structure
+from weakid import linalg, structure
 from weakid.clifford import orbit_sign_matrix
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
@@ -267,6 +267,15 @@ class TestSpans:
         with pytest.raises(ValueError):
             in_consequence_span(NcPoly.gen(1) ** 3, 3, [SQUARE_COMMUTATOR])
 
+    def test_coefficients_past_int64(self):
+        # the span row is [1, 1]; coefficients in [2^63, 2^64) that would
+        # round to the same float must stay exact
+        x1, x2 = NcPoly.gen(1), NcPoly.gen(2)
+        sym = x1 * x2 + x2 * x1
+        assert not in_consequence_span((2**63 + 1) * (x1 * x2) + 2**63 * (x2 * x1), 2, [sym])
+        assert in_consequence_span(2**63 * sym, 2, [sym])
+        assert not in_consequence_span(-(2**64) * (x1 * x2) + 2**64 * (x2 * x1), 2, [sym])
+
     def test_degree_cap(self):
         with pytest.raises(ValueError, match="cap"):
             consequence_span_dim(7, [SQUARE_COMMUTATOR])
@@ -350,22 +359,27 @@ class TestSpanKernelCertificate:
             exact_calls.append(len(rows))
             return exact_rank(rows)
 
+        # the certificate modulo 3 fails as well, so the span rank is exact
         monkeypatch.setattr(structure, "rank_mod_p", lambda rows: rank_mod_p(rows, 3))
-        monkeypatch.setattr(structure, "exact_rank", counted_exact_rank)
+        monkeypatch.setattr(linalg, "PRIME", 3)
+        monkeypatch.setattr(linalg, "exact_rank", counted_exact_rank)
         assert corollary1_check(4, 2) == want
         assert len(span) in exact_calls
 
     def test_word_size_prime_needs_no_exact_span_rank(self, monkeypatch):
-        exact_calls = []
+        rank_calls = []
 
-        def counted_exact_rank(rows):
-            exact_calls.append(len(rows))
-            return exact_rank(rows)
+        def counted(rank):
+            def wrapped(rows):
+                rank_calls.append(len(rows))
+                return rank(rows)
+            return wrapped
 
-        monkeypatch.setattr(structure, "exact_rank", counted_exact_rank)
+        monkeypatch.setattr(linalg, "exact_rank", counted(exact_rank))
+        monkeypatch.setattr(structure, "certified_rank", counted(linalg.certified_rank))
         rep = corollary1_check(4, 2)
         assert rep.ok and rep.span.rank == 18
-        assert rep.span.rows not in exact_calls
+        assert rep.span.rows not in rank_calls
 
     def test_failed_containment_is_reported(self):
         # S_3 is no identity of C_3: containment fails, the span is ranked exactly
@@ -418,6 +432,16 @@ class TestEvaluationKernel:
                 assert rep.seeds == DEFAULT_SEEDS
         with pytest.raises(ValueError, match="at least 4 primes"):
             evaluation_kernel(3, CliffordPair.symbolic(4), seeds=((2, 3, 5),))
+
+    def test_seed_values_of_either_sign_and_past_2_32(self):
+        # a negative form value with a positive largest q-monomial, and
+        # q-monomials up to 1999^3 > 2^32: the scaled columns stay exact
+        rep = evaluation_kernel(3, CliffordPair.symbolic(3), seeds=((-256, 3, 5),))
+        assert rep.rank == 4
+        rep = evaluation_kernel(
+            6, CliffordPair.symbolic(3), seeds=((1999, 2003, 2011), (-2003, 1999, -7))
+        )
+        assert rep.rank == 51
 
     def test_seed_spot_check_catches_a_wrong_sign(self, monkeypatch):
         import numpy as np
@@ -575,3 +599,104 @@ class TestLinalg:
         # underdetermined: free variable pinned to zero
         sol = solve_exact([[1, 1]], [5])
         assert sol == [Fraction(5), Fraction(0)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """m x c integer matrices of a drawn rank r, as products of an m x r and
+    an r x c factor: zero (r = 0), deficient and full-rank ones, both
+    orientations, entries up to a drawn magnitude."""
+    m, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    r = draw(st.integers(0, min(m, c)))
+    top = draw(st.sampled_from([2, 50, 2**20]))
+    entry = st.integers(-top, top)
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    return [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(c)]
+            for i in range(m)]
+
+
+class TestCertifiedRank:
+    @given(integer_matrices())
+    def test_equals_bareiss(self, rows):
+        want = rank_bareiss(rows)
+        assert linalg.certified_rank(rows) == want
+        assert linalg.certified_rank(np.array(rows, dtype=object).T) == want
+
+    def test_edge_shapes(self, monkeypatch):
+        # the kernel vector (1, -2^70) is past both lifts: exact_rank decides
+        assert linalg.certified_rank([[2**70, 1], [2**71, 2], [0, 0]]) == 1
+
+        def forbidden(rows):
+            raise AssertionError("exact_rank called")
+
+        monkeypatch.setattr(linalg, "exact_rank", forbidden)
+        assert linalg.certified_rank([]) == 0
+        assert linalg.certified_rank(np.zeros((0, 5), dtype=np.int64)) == 0
+        assert linalg.certified_rank([[0, 0, 0]]) == 0
+        # uint64 entries are taken as Python ints: as int64 they would wrap
+        # to [[-1, 1], [1, -1]], of rank 1
+        wide = np.array([[2**64 - 1, 1], [1, 2**64 - 1]], dtype=np.uint64)
+        assert linalg.certified_rank(wide) == rank_bareiss(wide.tolist()) == 2
+        assert linalg.certified_rank(orbit_sign_matrix(multilinear_words(4), 4)) == 10
+
+    def test_float_matrix_is_refused(self):
+        for rows in ([[1.0, 2.0]], np.array([[2**63, 1]], dtype=np.float64)):
+            with pytest.raises(TypeError, match="integer matrix"):
+                linalg.certified_rank(rows)
+            with pytest.raises(TypeError, match="integer matrix"):
+                rank_mod_p(rows)
+
+    def test_kernel_beyond_one_prime_takes_the_second(self, monkeypatch):
+        # the kernel vectors (-1/40000, 1, 0) and (-7/40000, 0, 1) have a
+        # denominator above sqrt(PRIME / 2) = 32767
+        primes = []
+        echelon = linalg._echelon
+
+        def recorded(a, p, reduced):
+            primes.append(p)
+            return echelon(a, p, reduced)
+
+        def forbidden(rows):
+            raise AssertionError("exact_rank called")
+
+        monkeypatch.setattr(linalg, "_echelon", recorded)
+        monkeypatch.setattr(linalg, "exact_rank", forbidden)
+        rows = [[40000, 1, 7], [80000, 2, 14], [-40000, -1, -7]]
+        assert linalg.certified_rank(rows) == 1
+        assert primes == [PRIME, linalg.PRIME2]
+        assert linalg._lift(np.array([[PRIME - pow(40000, -1, PRIME)]]), PRIME) is None
+
+    def test_unlucky_prime_falls_back_to_exact_rank(self, monkeypatch):
+        rows = [[1, 1], [1, 4], [0, 0]]  # its 2x2 minors are 0 and 3
+        assert rank_mod_p(rows, 3) == 1 < rank_bareiss(rows) == 2
+        exact_calls = []
+
+        def counted_exact_rank(rows):
+            exact_calls.append(rows)
+            return exact_rank(rows)
+
+        monkeypatch.setattr(linalg, "PRIME", 3)
+        monkeypatch.setattr(linalg, "exact_rank", counted_exact_rank)
+        assert linalg.certified_rank(rows) == 2
+        assert exact_calls == [rows]
+
+    def test_kernel_cells_and_spans_need_no_exact_rank(self, monkeypatch):
+        def forbidden(rows):
+            raise AssertionError("exact_rank called")
+
+        monkeypatch.setattr(linalg, "exact_rank", forbidden)
+        involutions_ = [1, 2, 4, 10, 26, 76]
+        for n in range(1, 7):
+            for k in range(1, 7):
+                rank = evaluation_kernel(n, CliffordPair.symbolic(k)).rank
+                if k >= n:
+                    assert rank == involutions_[n - 1]
+            evaluation_kernel(n, MatrixPair())
+        # every Clifford cell of the benchmark's kernel table, seeded
+        for n in (5, 6):
+            for k in range(2, 6):
+                seeded = evaluation_kernel(n, CliffordPair.symbolic(k), seeds=DEFAULT_SEEDS)
+                assert seeded.rank == evaluation_kernel(n, CliffordPair.symbolic(k)).rank
+        assert seeded.rank == sum(hook_dim(p) for p in partitions(6, max_rows=5))
+        assert consequence_span_dim(6, [SQUARE_COMMUTATOR]).rank == 720 - 76
