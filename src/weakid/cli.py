@@ -179,8 +179,7 @@ def _cmd_check(args):
 def _cmd_dim(args):
     target = _parse_pair(args.pair)
     rep = structure.evaluation_kernel(
-        args.n, target, seeds=args.seeds if isinstance(target, CliffordPair) else (),
-        allow_degree_7=args.max_degree >= 7 and args.n == 7,
+        args.n, target, seeds=args.seeds if isinstance(target, CliffordPair) else ()
     )
     return (
         {"n": args.n, "pair": args.pair},
@@ -192,9 +191,7 @@ def _cmd_dim(args):
 
 def _cmd_span(args):
     gens = [parse_poly(g, max_degree=args.max_degree) for g in args.gens.split(";")]
-    rep = structure.consequence_span_dim(
-        args.n, gens, allow_degree_7=args.max_degree >= 7 and args.n == 7
-    )
+    rep = structure.consequence_span_dim(args.n, gens)
     return (
         {"n": args.n, "gens": args.gens},
         _rank_report_dict(rep),
@@ -204,9 +201,7 @@ def _cmd_span(args):
 
 
 def _cmd_theorem1(args):
-    rep = structure.theorem1_check(
-        args.n, seeds=args.seeds, allow_degree_7=args.max_degree >= 7 and args.n == 7
-    )
+    rep = structure.theorem1_check(args.n, seeds=args.seeds)
     return (
         {"n": args.n},
         _span_kernel_dict(rep),
@@ -216,10 +211,7 @@ def _cmd_theorem1(args):
 
 
 def _cmd_corollary1(args):
-    rep = structure.corollary1_check(
-        args.n, args.k, seeds=args.seeds,
-        allow_degree_7=args.max_degree >= 7 and args.n == 7,
-    )
+    rep = structure.corollary1_check(args.n, args.k, seeds=args.seeds)
     return (
         {"n": args.n, "k": args.k},
         _span_kernel_dict(rep),
@@ -350,14 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=int(os.environ.get("WID_MAX_DEGREE", DEFAULT_DEGREE_CAP)),
-        help="degree cap for multilinearized components (default 7)",
+        help="degree cap for expressions (default 7); the rank commands dim, span, "
+        "theorem1 and corollary1 are capped at degree 7 regardless",
     )
     ap.add_argument(
         "--seeds",
         type=str,
         default="default",
-        help="prime specializations for rank cross-checks: 'default', 'none', "
-        "or lists like '2,3,5;7,11,13'",
+        help="form values at which to spot-check the orbit sign matrix against "
+        "symbolic evaluation: 'default', 'none', or lists like '2,3,5;7,11,13'",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -325,10 +325,12 @@ def substitute_linear(f: NcPoly, subst: Mapping[int, NcPoly]) -> NcPoly:
     return out
 
 
-def multilinear_words(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[Word]:
-    """The n! degree-n multilinear words, in lexicographic order of the permutation."""
+def multilinear_words(n: int) -> list[Word]:
+    """The n! degree-n multilinear words, in lexicographic order of the
+    permutation.  Every dense multilinear computation (spans, evaluation
+    kernels) starts here, so DEFAULT_DEGREE_CAP bounds them all."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise ValueError(f"degree {n} above cap {cap}")
+    if n > DEFAULT_DEGREE_CAP:
+        raise ValueError(f"degree {n} above cap {DEFAULT_DEGREE_CAP}")
     return list(itertools.permutations(range(1, n + 1)))

@@ -358,6 +358,14 @@ class TestCli:
         assert main(["--seeds=-256,3,5", "dim", "--n", "3", "--pair", "clifford:3"]) == 0
         assert "quotient dim  4" in capsys.readouterr().out
 
+    def test_rank_degree_above_cap_exit_2(self, capsys):
+        # --max-degree bounds expressions; every rank command stops at degree 7
+        assert main(["--max-degree", "9", "dim", "--n", "8", "--pair", "clifford:2"]) == 2
+        err = capsys.readouterr().err
+        assert "degree 8 above cap 7" in err and "=" not in err
+        assert main(["--max-degree", "6", "dim", "--n", "7", "--pair", "clifford:2"]) == 0
+        assert "quotient dim  35" in capsys.readouterr().out
+
     def test_max_degree_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WID_MAX_DEGREE", "3")
         args = build_parser().parse_args(["check", "--pair", "m2", "x1"])

@@ -117,16 +117,13 @@ class TestInvolutions:
         assert [involutions(n) for n in range(1, 6)] == [1, 2, 4, 10, 26]
 
     def test_matches_hook_sum(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             assert involutions(n) == sum(hook_dim(p) for p in partitions(n))
+        assert involutions(12) == 140152
 
     def test_squares_sum_to_factorial(self):
         for n in range(1, 9):
             assert sum(hook_dim(p) ** 2 for p in partitions(n)) == math.factorial(n)
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            involutions(9)
 
 
 class TestDiagrams:
@@ -277,8 +274,27 @@ class TestSpans:
         assert not in_consequence_span(-(2**64) * (x1 * x2) + 2**64 * (x2 * x1), 2, [sym])
 
     def test_degree_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            consequence_span_dim(7, [SQUARE_COMMUTATOR])
+        with pytest.raises(ValueError, match="above cap 7"):
+            consequence_span_dim(8, [SQUARE_COMMUTATOR])
+
+
+class TestOneDegreeCap:
+    """multilinear_words is the one degree limit of every dense rank
+    (consequence_span_dim: TestSpans.test_degree_cap)."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: evaluation_kernel(8, CliffordPair.symbolic(2)),
+        lambda: evaluation_kernel(8, MatrixPair()),
+        lambda: in_consequence_span(NcPoly.monomial(tuple(range(1, 9))), 8, [SQUARE_COMMUTATOR]),
+        lambda: theorem1_check(8),
+        lambda: corollary1_check(8, 2),
+    ], ids=["kernel-clifford", "kernel-m2", "in-span", "theorem1", "corollary1"])
+    def test_degree_8_refused(self, call):
+        with pytest.raises(ValueError, match="degree 8 above cap 7"):
+            call()
+
+    def test_degree_7_runs(self):
+        assert evaluation_kernel(7, CliffordPair.symbolic(2)).quotient_dim == 35
 
 
 def oracle_span_vectors(n, generators):
@@ -432,6 +448,17 @@ class TestEvaluationKernel:
                 assert rep.seeds == DEFAULT_SEEDS
         with pytest.raises(ValueError, match="at least 4 primes"):
             evaluation_kernel(3, CliffordPair.symbolic(4), seeds=((2, 3, 5),))
+
+    def test_seeds_add_no_rank(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(np.shape(rows))
+            return linalg.certified_rank(rows)
+
+        monkeypatch.setattr(structure, "certified_rank", counted)
+        rep = evaluation_kernel(6, CliffordPair.symbolic(3), seeds=DEFAULT_SEEDS)
+        assert rep.rank == 51 and len(calls) == 1
 
     def test_seed_values_of_either_sign_and_past_2_32(self):
         # a negative form value with a positive largest q-monomial, and
