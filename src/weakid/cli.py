@@ -103,7 +103,7 @@ def _parse_interleaved_word(spec: str, n: int) -> tuple[int, ...]:
 
 def _remap(f: NcPoly, mapping: dict[int, int]) -> NcPoly:
     """Rename generator indices so format_expr prints the intended x/y names."""
-    return NcPoly({tuple(mapping[i] for i in w): c for w, c in f.terms.items()})
+    return NcPoly._from_terms({tuple(mapping[i] for i in w): c for w, c in f.terms.items()})
 
 
 def _rank_report_dict(r: RankReport) -> dict:
@@ -130,15 +130,16 @@ def _witness_dict(w: Witness) -> dict:
     }
 
 
-def _rank_report_lines(r: RankReport) -> list[str]:
+def _rank_report_lines(r: RankReport, dims: dict[str, int] | None = None) -> list[str]:
+    if dims is None:
+        dims = {"kernel dim": r.kernel_dim, "quotient dim": r.quotient_dim}
     lines = [
         f"degree        {r.degree}",
         f"target        {r.target}",
         f"matrix        {r.rows} x {r.cols}",
         f"rank          {r.rank}",
-        f"kernel dim    {r.kernel_dim}",
-        f"quotient dim  {r.quotient_dim}",
     ]
+    lines += [f"{name:<14}{value}" for name, value in dims.items()]
     if r.seeds:
         lines.append(f"seeds         {'; '.join(','.join(map(str, s)) for s in r.seeds)}")
     return lines
@@ -192,12 +193,12 @@ def _cmd_dim(args):
 def _cmd_span(args):
     gens = [parse_poly(g, max_degree=args.max_degree) for g in args.gens.split(";")]
     rep = structure.consequence_span_dim(args.n, gens)
-    return (
-        {"n": args.n, "gens": args.gens},
-        _rank_report_dict(rep),
-        _rank_report_lines(rep),
-        0,
-    )
+    # the rank is the dimension of the span; P_n / span has dimension n! - rank
+    outcome = _rank_report_dict(rep)
+    del outcome["kernel_dim"]
+    outcome.update(span_dim=rep.rank, quotient_dim=rep.kernel_dim)
+    dims = {"span dim": rep.rank, "quotient dim": rep.kernel_dim}
+    return {"n": args.n, "gens": args.gens}, outcome, _rank_report_lines(rep, dims), 0
 
 
 def _cmd_theorem1(args):
@@ -298,7 +299,7 @@ def _cmd_standard(args):
 
     raw = standard_poly(args.n)
     # present in the surface x-variables
-    surf = NcPoly({tuple(2 * i - 1 for i in w): c for w, c in raw.terms.items()})
+    surf = NcPoly._from_terms({tuple(2 * i - 1 for i in w): c for w, c in raw.terms.items()})
     text = format_expr(surf)
     return {"n": args.n}, {"expr": text}, [text], 0
 

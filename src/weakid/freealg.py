@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Word = tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -26,6 +26,11 @@ class NcPoly:
     """Sparse noncommutative polynomial: map from words to rational coefficients.
 
     Instances are treated as immutable; all operations return new polynomials.
+    Every instance keeps one invariant: the keys of ``terms`` are tuples of
+    positive ints and its values are nonzero Fractions.  The public
+    constructor checks its input against it; the operations below build
+    their results from polynomials that already hold it, through
+    ``_from_terms``, and check nothing again.
     """
 
     __slots__ = ("terms",)
@@ -47,6 +52,15 @@ class NcPoly:
                     elif w in clean:
                         del clean[w]
         self.terms = clean
+
+    @classmethod
+    def _from_terms(cls, terms: Mapping[Word, Fraction]) -> "NcPoly":
+        """A polynomial from a map whose keys are tuples of positive ints and
+        whose values are Fractions.  Nothing is checked; zero values are
+        dropped."""
+        poly = cls.__new__(cls)
+        poly.terms = {w: c for w, c in terms.items() if c}
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -104,13 +118,14 @@ class NcPoly:
             return NotImplemented
         merged = dict(self.terms)
         for w, c in other.terms.items():
-            merged[w] = merged.get(w, Fraction(0)) + c
-        return NcPoly(merged)
+            prev = merged.get(w)
+            merged[w] = c if prev is None else prev + c
+        return NcPoly._from_terms(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NcPoly({w: -c for w, c in self.terms.items()})
+        return NcPoly._from_terms({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -124,17 +139,18 @@ class NcPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return NcPoly()
-            return NcPoly({w: c * other for w, c in self.terms.items()})
+            s = Fraction(other)
+            return NcPoly._from_terms({w: c * s for w, c in self.terms.items()})
         if not isinstance(other, NcPoly):
             return NotImplemented
         out: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return NcPoly(out)
+                c = c1 * c2
+                prev = out.get(w)
+                out[w] = c if prev is None else prev + c
+        return NcPoly._from_terms(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,15 +211,10 @@ def standard_poly(n: int) -> NcPoly:
     """The alternating polynomial S_n = sum over S_n of sign(s) x_{s(1)}..x_{s(n)}."""
     if n < 1:
         raise ValueError("standard polynomial needs n >= 1")
-    terms: dict[Word, Fraction] = {}
-    for perm, sign in _signed_permutations(n):
-        terms[perm] = Fraction(sign)
-    return NcPoly(terms)
-
-
-def _signed_permutations(n: int) -> Iterable[tuple[Word, int]]:
-    for perm in itertools.permutations(range(1, n + 1)):
-        yield perm, perm_sign(perm)
+    signs = {1: Fraction(1), -1: Fraction(-1)}
+    return NcPoly._from_terms(
+        {perm: signs[perm_sign(perm)] for perm in itertools.permutations(range(1, n + 1))}
+    )
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -227,7 +238,7 @@ def perm_sign(perm: Sequence[int]) -> int:
 
 def star(f: NcPoly) -> NcPoly:
     """Reversal involution: each word is reversed, coefficients unchanged."""
-    return NcPoly({w[::-1]: c for w, c in f.terms.items()})
+    return NcPoly._from_terms({w[::-1]: c for w, c in f.terms.items()})
 
 
 def multidegree(f: NcPoly) -> dict[int, int]:
@@ -236,30 +247,24 @@ def multidegree(f: NcPoly) -> dict[int, int]:
         raise ValueError("multidegree of the zero polynomial is undefined")
     it = iter(f.terms)
     first = next(it)
-    md = _word_multidegree(first)
+    key = sorted(first)  # two words have one multidegree iff their sorted letters agree
     for w in it:
-        if _word_multidegree(w) != md:
+        if sorted(w) != key:
             raise ValueError(
                 f"not multihomogeneous: words {first} and {w} have different multidegrees"
             )
-    return md
-
-
-def _word_multidegree(w: Word) -> dict[int, int]:
     md: dict[int, int] = {}
-    for i in w:
+    for i in first:
         md[i] = md.get(i, 0) + 1
     return md
 
 
 def multihomogeneous_components(f: NcPoly) -> list[NcPoly]:
     """Split into multihomogeneous components, in degree-lex order of a witness word."""
-    groups: dict[tuple, dict[Word, Fraction]] = {}
+    groups: dict[Word, dict[Word, Fraction]] = {}
     for w, c in f.terms.items():
-        md = _word_multidegree(w)
-        key = tuple(sorted(md.items()))
-        groups.setdefault(key, {})[w] = c
-    comps = [NcPoly(g) for g in groups.values()]
+        groups.setdefault(tuple(sorted(w)), {})[w] = c
+    comps = [NcPoly._from_terms(g) for g in groups.values()]
     comps.sort(key=lambda p: word_key(min(p.terms, key=word_key)))
     return comps
 
@@ -297,11 +302,12 @@ def _polarize(f: NcPoly, g: int, fresh: int) -> NcPoly:
     """Substitute g -> g + fresh and keep the part of degree 1 in fresh."""
     terms: dict[Word, Fraction] = {}
     for w, c in f.terms.items():
-        positions = [i for i, letter in enumerate(w) if letter == g]
-        for p in positions:
-            new = w[:p] + (fresh,) + w[p + 1:]
-            terms[new] = terms.get(new, Fraction(0)) + c
-    return NcPoly(terms)
+        for p, letter in enumerate(w):
+            if letter == g:
+                new = w[:p] + (fresh,) + w[p + 1:]
+                prev = terms.get(new)
+                terms[new] = c if prev is None else prev + c
+    return NcPoly._from_terms(terms)
 
 
 def substitute_linear(f: NcPoly, subst: Mapping[int, NcPoly]) -> NcPoly:
@@ -316,13 +322,15 @@ def substitute_linear(f: NcPoly, subst: Mapping[int, NcPoly]) -> NcPoly:
     missing = f.generators() - set(subst)
     if missing:
         raise ValueError(f"substitution missing generators {sorted(missing)}")
-    out = NcPoly()
+    out: dict[Word, Fraction] = {}
     for w, c in f.terms.items():
-        prod = NcPoly({(): c})
+        prod = NcPoly._from_terms({(): c})
         for letter in w:
             prod = prod * subst[letter]
-        out = out + prod
-    return out
+        for pw, pc in prod.terms.items():
+            prev = out.get(pw)
+            out[pw] = pc if prev is None else prev + pc
+    return NcPoly._from_terms(out)
 
 
 def multilinear_words(n: int) -> list[Word]:

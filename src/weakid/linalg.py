@@ -236,17 +236,30 @@ def _lift(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
 def _in_kernel(a: np.ndarray, pivots: list[int], free: np.ndarray, x: np.ndarray,
                scales: np.ndarray) -> bool:
     """Whether a @ X == 0 exactly, for X with rows x at the pivot columns
-    and diag(scales) at the free columns: in int64 row blocks when no partial
-    sum can reach 2^62, in Python ints otherwise (the float64 estimate of
-    the sums is off by far less than the factor 2 of margin)."""
-    height = (np.abs(x).sum(axis=0, dtype=np.float64) + scales).max()
-    if a.dtype == object or max(-int(a.min()), int(a.max())) * height >= 2.0**61:
-        a, x, scales = a.astype(object), x.astype(object), scales.astype(object)
+    and diag(scales) at the free columns, in row blocks.  No partial sum of
+    the product exceeds max|a| times the largest column sum of |X|.  When
+    that bound is below 2^53 the blocks are float64 (BLAS) products, in
+    which every partial sum is an exactly represented integer; below 2^61
+    they are int64 products; otherwise Python ints."""
+    dtype = object if a.dtype == object else _product_dtype(a, x, scales)
+    x, scales = x.astype(dtype), scales.astype(dtype)
     for rows in _row_blocks(a):
-        block = a[rows]
+        block = a[rows].astype(dtype)
         if (block[:, pivots] @ x + block[:, free] * scales).any():
             return False
     return True
+
+
+def _product_dtype(a: np.ndarray, x: np.ndarray, scales: np.ndarray):
+    """float64, int64 or object: the tier of _in_kernel for an integer a."""
+    top = max(-int(a.min()), int(a.max()))
+    abs_x = np.abs(x)
+    # the float64 estimate is off by far less than the factor 2 of margin,
+    # so the exact int64 column sums below cannot overflow
+    if top * (abs_x.sum(axis=0, dtype=np.float64) + scales).max() >= 2.0**61:
+        return object
+    bound = top * int((abs_x.sum(axis=0) + scales).max())
+    return np.float64 if bound < 2**53 else np.int64
 
 
 def certified_rank(rows) -> int:

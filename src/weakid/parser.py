@@ -255,7 +255,7 @@ def lower_expr(ast: ExprAst) -> NcPoly:
         # S(n) in the surface variables x1..xn
         sub = {i: var_index("x", i) for i in range(1, ast[1] + 1)}
         raw = standard_poly(ast[1])
-        return NcPoly({tuple(sub[i] for i in w): c for w, c in raw.terms.items()})
+        return NcPoly._from_terms({tuple(sub[i] for i in w): c for w, c in raw.terms.items()})
     raise ValueError(f"unknown AST node {tag!r}")
 
 

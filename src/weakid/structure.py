@@ -211,11 +211,9 @@ def lemma2_coeffs_by_evaluation(n: int, k: int) -> tuple[Fraction, Fraction]:
 
 def _insertion_lhs(n: int, k: int) -> NcPoly:
     y = n + 1
-    terms: dict[Word, Fraction] = {}
-    for word, sign in standard_poly(n).terms.items():
-        w = word[:k] + (y,) + word[k:]
-        terms[w] = sign
-    return NcPoly(terms)
+    return NcPoly._from_terms(
+        {word[:k] + (y,) + word[k:]: sign for word, sign in standard_poly(n).terms.items()}
+    )
 
 
 def eq5_defect(n: int, k: int) -> NcPoly:
@@ -282,7 +280,7 @@ def lemma1_decompose(n: int) -> list[tuple[NcPoly, NcPoly]]:
         bucket[a] = bucket.get(a, Fraction(0)) + c
     pairs = []
     for b in sorted(groups, key=word_key):
-        a_poly = NcPoly(groups[b])
+        a_poly = NcPoly._from_terms(groups[b])
         if a_poly.is_zero():
             continue
         if any(len(w) == 0 for w in a_poly.terms):
@@ -683,8 +681,8 @@ def factor_through_standard(
 
     result = StandardFactorization(n=n, ys=ys, variant=variant)
     if variant == "right":
-        result.right_factor = NcPoly(
-            {w: c for (_, w), c in zip(labels, coeffs) if c}
+        result.right_factor = NcPoly._from_terms(
+            {w: c for (_, w), c in zip(labels, coeffs)}
         )
     else:
         result.pairs = [

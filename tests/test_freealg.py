@@ -74,6 +74,43 @@ class TestNcPolyRing:
         assert (f + g) * h == f * h + g * h
 
 
+def assert_clean(p: NcPoly):
+    """The NcPoly invariant: tuple-of-positive-int keys, nonzero Fraction
+    values, and equal to the polynomial the public constructor makes."""
+    for w, c in p.terms.items():
+        assert type(w) is tuple and all(type(i) is int and i > 0 for i in w)
+        assert type(c) is Fraction and c != 0
+    assert p == NcPoly(dict(p.terms))
+
+
+class TestInvariant:
+    @given(small_polys, small_polys, st.fractions(max_denominator=4), st.integers(-3, 3),
+           st.integers(0, 3))
+    def test_operations_keep_the_invariant(self, f, g, q, k, e):
+        results = [f + g, f - g, f * g, f * q, q * f, f * k, k * f, f + k, k - f, -f,
+                   f ** e, commutator(f, g), jordan(f, g), star(f),
+                   f - f, f + (-f), f * 0, (f + g) - g]
+        for comp in multihomogeneous_components(f):
+            results += [comp, multilinearize(comp)]
+        for p in results:
+            assert_clean(p)
+        assert (f - f).is_zero() and ((f + g) - g) == f
+
+    def test_cancellation(self):
+        for p in (x1 * x2 - x2 * x1 + x2 * x1, x1 - x1, commutator(x1, x1),
+                  (x1 + x2) * (x1 - x2) + x1 * x2 - x2 * x1, jordan(x1, -x1) + x1 * x1):
+            assert_clean(p)
+        assert x1 * x2 - x2 * x1 + x2 * x1 == x1 * x2
+        assert (x1 + x2) * (x1 - x2) + x1 * x2 - x2 * x1 == x1 * x1 - x2 * x2
+
+    def test_constructions_keep_the_invariant(self):
+        for n in range(1, 7):
+            assert_clean(standard_poly(n))
+        f = (x1 + 2 * x2) ** 3 - x1 * x2 * x1
+        assert_clean(substitute_linear(f, {1: x2 - x3, 2: x3 + x2}))
+        assert_clean(substitute_linear(f, {1: x2, 2: -x2 * Fraction(1, 2)}))
+
+
 class TestBrackets:
     def test_commutator(self):
         assert commutator(x1, x2) == x1 * x2 - x2 * x1

@@ -317,6 +317,16 @@ class TestCli:
         assert main(["span", "--n", "4", "--gens", "[x1^2,x2]"]) == 0
         assert "rank          14" in capsys.readouterr().out
 
+    def test_span_labels(self, capsys):
+        # the rank is the span dimension; P_5 / span has dimension 5! - 94
+        assert main(["span", "--n", "5", "--gens", "[x1^2,x2]"]) == 0
+        out = capsys.readouterr().out
+        assert "span dim      94\nquotient dim  26\n" in out and "kernel dim" not in out
+        assert main(["--json", "span", "--n", "5", "--gens", "[x1^2,x2]"]) == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert (outcome["rank"], outcome["span_dim"], outcome["quotient_dim"]) == (94, 94, 26)
+        assert "kernel_dim" not in outcome
+
     def test_theorem1(self, capsys):
         assert main(["theorem1", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out

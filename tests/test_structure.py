@@ -643,6 +643,52 @@ def integer_matrices(draw):
             for i in range(m)]
 
 
+def in_kernel_case(m: int, off: int = 0):
+    """Arguments of linalg._in_kernel for a = [[1, m, -m], [2, 2m, -2m]]
+    and the kernel vector (m + off, m - 1, m): off = 1 leaves a residual of
+    1 beside partial sums near m^2.  Its bound max|a| * column sum of |X|
+    is 2m(3m - 1 + off)."""
+    a = np.array([[1, m, -m], [2, 2 * m, -2 * m]], dtype=np.int64)
+    x = np.array([[m + off], [m - 1]], dtype=np.int64)
+    return a, [0, 1], np.array([False, False, True]), x, np.array([m], dtype=np.int64)
+
+
+class TestInKernelTiers:
+    # the largest m whose bound with off = 1, 6m^2, is below 2^53
+    M53 = math.isqrt((2**53 - 1) // 6)
+
+    @pytest.mark.parametrize("m, tier", [
+        (M53, np.float64),
+        (M53 + 1, np.int64),
+        (2**28, np.int64),  # m^2 + 1 is not a float64
+        (2**29 + 2**28, object),  # 2m(3m - 1) is above 2^61
+        (2**40, object),  # m^2 overflows int64
+    ])
+    def test_true_kernel_holds_and_off_by_one_fails(self, m, tier):
+        a, pivots, free, x, scales = in_kernel_case(m)
+        assert linalg._product_dtype(a, x, scales) == tier
+        assert linalg._in_kernel(a, pivots, free, x, scales)
+        a, pivots, free, x, scales = in_kernel_case(m, off=1)
+        assert linalg._product_dtype(a, x, scales) == tier
+        assert not linalg._in_kernel(a, pivots, free, x, scales)
+        a, pivots, free, x, scales = in_kernel_case(m)
+        scales += 1
+        assert not linalg._in_kernel(a, pivots, free, x, scales)
+
+    def test_residual_hidden_by_int64_wraparound(self):
+        # a @ X = 2^32 (2^32 + 1) - 2^32 = 2^64, which is 0 modulo 2^64
+        a = np.array([[2**32, -(2**32)]], dtype=np.int64)
+        x, scales = np.array([[2**32 + 1]], dtype=np.int64), np.array([1], dtype=np.int64)
+        assert linalg._product_dtype(a, x, scales) == object
+        assert not linalg._in_kernel(a, [0], np.array([False, True]), x, scales)
+
+    def test_object_matrix_takes_python_ints(self):
+        a, pivots, free, x, scales = in_kernel_case(2**40)
+        a = a.astype(object) * 2**30
+        assert linalg._in_kernel(a, pivots, free, x, scales)
+        assert not linalg._in_kernel(a, *in_kernel_case(2**40, off=1)[1:])
+
+
 class TestCertifiedRank:
     @given(integer_matrices())
     def test_equals_bareiss(self, rows):
