@@ -14,6 +14,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -333,6 +334,10 @@ _HANDLERS = {
 }
 
 
+def _env_max_degree() -> int:
+    return int(os.environ.get("WID_MAX_DEGREE", DEFAULT_DEGREE_CAP))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weakid",
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--max-degree",
         type=int,
-        default=int(os.environ.get("WID_MAX_DEGREE", DEFAULT_DEGREE_CAP)),
+        default=_env_max_degree(),
         help="degree cap for expressions (default 7); the rank commands dim, span, "
         "theorem1 and corollary1 are capped at degree 7 regardless",
     )
@@ -414,8 +419,15 @@ def _dash_expression_last(argv: list[str]) -> list[str]:
     return argv[:at + 1] + rest + ["--", *exprs] if exprs else argv
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
+    ap.set_defaults(max_degree=_env_max_degree())  # WID_MAX_DEGREE as of this call
     args = ap.parse_args(_dash_expression_last(list(sys.argv[1:] if argv is None else argv)))
     try:
         args.seeds = _parse_seeds(args.seeds)

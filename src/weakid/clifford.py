@@ -202,13 +202,6 @@ class CliffordElt:
         return f"CliffordElt({self})"
 
 
-def cliff_mul(a: CliffordElt, b: CliffordElt, form: FormParams | None = None) -> CliffordElt:
-    """Bilinear, associative, unital product of Clifford elements."""
-    if form is not None and (a.form != form or b.form != form):
-        raise ValueError("element forms do not match the given form")
-    return a * b
-
-
 def embed_vector(coords: Sequence[ParamPoly | Coeff], form: FormParams) -> CliffordElt:
     """Embed a vector of V_k (coordinates in the orthogonal basis) into C_k."""
     if len(coords) != form.k:

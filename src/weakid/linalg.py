@@ -53,14 +53,16 @@ def _gcd_reduce(r: list[int], lead: int) -> list[int]:
     return [x // g for x in r] if g != 1 else r
 
 
-def exact_rank(rows: Iterable[Sequence]) -> int:
-    """Rank over Q of a matrix given as an iterable of rows (ints or Fractions).
+def _pivot_rows(rows: Iterable[Sequence]) -> dict[int, list[int]]:
+    """Integer echelon rows of a rational matrix, keyed by leading column.
 
-    Incremental fraction-free elimination: each incoming row is repeatedly
-    reduced at its leading column against the stored pivot with that column
-    until the leading column is new (or the row vanishes).
+    Incremental fraction-free elimination: each incoming row is scaled to
+    coprime integers and repeatedly reduced at its leading column against
+    the stored row with that column until its leading column is new (or the
+    row vanishes).  The rows span the row space and have distinct leading
+    columns, so the keys are the pivot columns of the reduced echelon form.
     """
-    pivots: dict[int, list[int]] = {}  # leading column -> integer row
+    pivots: dict[int, list[int]] = {}
     for row in rows:
         r = _int_row(row)
         while True:
@@ -75,33 +77,12 @@ def exact_rank(rows: Iterable[Sequence]) -> int:
                 r = _gcd_reduce(r, nz)
         if lead is not None:
             pivots[lead] = _gcd_reduce(r, lead)
-    return len(pivots)
+    return pivots
 
 
-def rank_bareiss(matrix: Sequence[Sequence]) -> int:
-    """Rank via fraction-free Bareiss elimination (dense, cross-check path)."""
-    m = [_int_row(row) for row in matrix]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        p = m[row][col]
-        for i in range(row + 1, nrows):
-            f = m[i][col]
-            m[i] = [(p * m[i][j] - f * m[row][j]) // prev for j in range(ncols)]
-        prev = p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+def exact_rank(rows: Iterable[Sequence]) -> int:
+    """Rank over Q of a matrix given as an iterable of rows (ints or Fractions)."""
+    return len(_pivot_rows(rows))
 
 
 def rank_mod_p(rows, p: int = PRIME) -> int:
@@ -307,35 +288,21 @@ def solve_exact(
 ) -> list[Fraction] | None:
     """One exact solution of ``rows @ x = rhs`` or None if inconsistent.
 
-    Gaussian elimination over Fractions; free variables are set to zero, so
-    the returned solution is deterministic in the given column order.
+    The augmented rows are reduced by _pivot_rows; the system is
+    inconsistent when the right-hand column leads a row.  Otherwise the
+    pivot variables are back-substituted from the last pivot with the free
+    variables set to zero: the solution of the reduced echelon form, so it
+    is deterministic in the given column order.
     """
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(b)]
-        for row, b in zip(rows, rhs, strict=True)
-    ]
+    aug = [[*row, b] for row, b in zip(rows, rhs, strict=True)]
     ncols = len(aug[0]) - 1 if aug else 0
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][ncols]:
-            return None
+    pivots = _pivot_rows(aug)
+    if ncols in pivots:
+        return None
     x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][ncols]
+    done: list[int] = []
+    for col in sorted(pivots, reverse=True):
+        r = pivots[col]
+        x[col] = (r[ncols] - sum(r[j] * x[j] for j in done if r[j])) / Fraction(r[col])
+        done.append(col)
     return x

@@ -26,7 +26,6 @@ from .freealg import (
     multihomogeneous_components,
     multilinearize,
 )
-from .linalg import exact_rank
 from .scalars import Coeff, ParamPoly
 
 
@@ -281,14 +280,3 @@ def is_weak_identity(
             return w
     return None
 
-
-def random_invertible_substitution(n: int, rng) -> dict[int, NcPoly]:
-    """Random invertible linear substitution on x_1..x_n with small entries."""
-    while True:
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if exact_rank(rows) == n:
-            break
-    return {
-        i + 1: NcPoly({(j + 1,): rows[i][j] for j in range(n) if rows[i][j]})
-        for i in range(n)
-    }

@@ -305,7 +305,10 @@ def lemma1_defect(n: int) -> NcPoly:
 class RankReport:
     """Exact rank data for a degree-n multilinear computation.
 
-    rows x cols is the assembled matrix shape (before deduplication);
+    rows x cols is the shape of the matrix ranked: for a consequence span,
+    its rows after deduplication by the n! words; for an evaluation kernel,
+    the n! words by all k^n (or 4 * 3^n) basis substitutions, of which the
+    rank reads only orbit representatives (or nonzero columns).
     kernel_dim = n! - rank and quotient_dim = rank always hold.  The rank
     is exact over Q: linalg.certified_rank takes it modulo 2^31 - 1 (a lower
     bound) and proves the upper bound with a kernel basis lifted to integers
@@ -468,7 +471,7 @@ def evaluation_kernel(
     a sample of sign matrix entries is compared with symbolic evaluation at
     those form values.  For the M2 pair the columns are the entries of the
     words at every basis tuple of E, F, H (``m2_evaluation_matrix``); the
-    distinct nonzero ones are ranked.
+    nonzero ones are ranked.
     """
     words = multilinear_words(n)
     nfact = len(words)
@@ -484,10 +487,7 @@ def evaluation_kernel(
         return _rank_report(n, desc, nfact, k ** n, rank, seeds)
     if isinstance(target, MatrixPair):
         cols = m2_evaluation_matrix(np.array(words)).T
-        # the first copy of each distinct nonzero column, in order (the void-view
-        # np.unique of _span_matrix raised the peak RSS of a kernel pass by 0.4 MB)
-        distinct = list(dict.fromkeys(map(tuple, cols[cols.any(axis=1)].tolist())))
-        rank = certified_rank(np.array(distinct, dtype=cols.dtype))
+        rank = certified_rank(cols[cols.any(axis=1)])
         return _rank_report(n, "m2 (traceless substitution space)", nfact, 4 * 3 ** n, rank)
     raise TypeError(f"unknown pair target {target!r}")
 
@@ -717,7 +717,11 @@ def _solve_modulo_identities(
     the same operator and evaluated at the orbit representatives of the
     basis tuples of C_N, N the polarized degree.  At a fixed tuple all words
     share the same contraction monomial and blade, so each representative
-    contributes one rational equation.
+    contributes one equation sum_j c_j s_j / den_j = s_0 / den_0 in the
+    integer signed sums s_j of the polynomials over their denominators
+    den_j.  It is solved in integers as sum_j s_j z_j = s_0, with
+    c_j = z_j den_j / den_0; rescaling a column keeps its pivot status, so
+    the free variables are the same.
     """
     md = multidegree(lhs)
     for c in candidates:
@@ -725,12 +729,15 @@ def _solve_modulo_identities(
             raise ValueError("candidate multidegree does not match the left-hand side")
     polys = [multilinearize(p) for p in [lhs, *candidates]]
     letters = polys[0].generators()
-    columns = []
+    columns, dens = [], []
     for ml in polys:
         if ml.generators() != letters:
             raise AssertionError("polarization produced mismatched variable sets")
         words, coeffs, den = _integer_rows(ml)
-        sums = signed_sums(coeffs, orbit_sign_matrix(words, len(letters)))
-        columns.append([Fraction(int(v), den) for v in sums])
-    rows = [list(eq[1:]) for eq in zip(*columns)]
-    return solve_exact(rows, columns[0])
+        columns.append(signed_sums(coeffs, orbit_sign_matrix(words, len(letters))).tolist())
+        dens.append(den)
+    rows = [eq[1:] for eq in zip(*columns)]
+    z = solve_exact(rows, columns[0])
+    if z is None:
+        return None
+    return [zj * den / dens[0] for zj, den in zip(z, dens[1:])]

@@ -1,0 +1,95 @@
+"""Reference implementations that the tests compare weakid against.
+
+Each is a plain, independent algorithm for a job that weakid does another
+way: dense Bareiss rank, Gauss-Jordan solving over Fractions, and random
+invertible substitutions for the GL-invariance tests.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from typing import Sequence
+
+from weakid.freealg import NcPoly
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
+    return [int(Fraction(x) * den) for x in row]
+
+
+def rank_bareiss(matrix: Sequence[Sequence]) -> int:
+    """Rank via fraction-free Bareiss elimination (dense)."""
+    m = [_integer_row(row) for row in matrix]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        p = m[row][col]
+        for i in range(row + 1, nrows):
+            f = m[i][col]
+            m[i] = [(p * m[i][j] - f * m[row][j]) // prev for j in range(ncols)]
+        prev = p
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
+
+
+def solve_gauss_jordan(
+    rows: Sequence[Sequence], rhs: Sequence
+) -> list[Fraction] | None:
+    """One exact solution of ``rows @ x = rhs`` or None if inconsistent.
+
+    Gauss-Jordan elimination over Fractions; free variables are set to zero.
+    """
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(b)]
+        for row, b in zip(rows, rhs, strict=True)
+    ]
+    ncols = len(aug[0]) - 1 if aug else 0
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][col]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == len(aug):
+            break
+    for i in range(r, len(aug)):
+        if aug[i][ncols]:
+            return None
+    x = [Fraction(0)] * ncols
+    for i, col in enumerate(pivot_cols):
+        x[col] = aug[i][ncols]
+    return x
+
+
+def random_invertible_substitution(n: int, rng) -> dict[int, NcPoly]:
+    """Random invertible linear substitution on x_1..x_n with small entries."""
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if rank_bareiss(rows) == n:
+            break
+    return {
+        i + 1: NcPoly({(j + 1,): rows[i][j] for j in range(n) if rows[i][j]})
+        for i in range(n)
+    }

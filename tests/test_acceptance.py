@@ -21,12 +21,7 @@ from weakid.freealg import (
     star,
     substitute_linear,
 )
-from weakid.pairs import (
-    CliffordPair,
-    MatrixPair,
-    is_weak_identity,
-    random_invertible_substitution,
-)
+from weakid.pairs import CliffordPair, MatrixPair, is_weak_identity
 from weakid.parser import format_expr, parse_poly
 from weakid.structure import (
     DEFAULT_SEEDS,
@@ -44,6 +39,8 @@ from weakid.structure import (
     partitions,
     theorem1_check,
 )
+
+from oracles import random_invertible_substitution
 
 
 def report(num, ok, seconds, note=""):

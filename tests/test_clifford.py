@@ -10,7 +10,6 @@ from weakid.clifford import (
     FormParams,
     blade_mul,
     blade_str,
-    cliff_mul,
     embed_vector,
     evaluate,
     orbit_representatives,
@@ -135,10 +134,6 @@ class TestCliffordElt:
         one = CliffordElt.unit(SYM3)
         v = basis(2)
         assert one * v == v and v * one == v
-
-    def test_cliff_mul_checks_form(self):
-        with pytest.raises(ValueError):
-            cliff_mul(basis(1), basis(1), FormParams(2))
 
     def test_str(self):
         assert str(basis(1) * basis(2)) == "e{1,2}"

@@ -29,9 +29,10 @@ from weakid.pairs import (
     is_weak_identity,
     m2_product_table,
     mat2_evaluate,
-    random_invertible_substitution,
     substitution_basis,
 )
+
+from oracles import random_invertible_substitution
 
 x1, x2, x3 = NcPoly.gen(1), NcPoly.gen(2), NcPoly.gen(3)
 

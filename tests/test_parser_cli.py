@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from weakid import cli
 from weakid.cli import Report, build_parser, main
 from weakid.freealg import NcPoly, commutator, jordan
 from weakid.parser import (
@@ -380,6 +381,28 @@ class TestCli:
         monkeypatch.setenv("WID_MAX_DEGREE", "3")
         args = build_parser().parse_args(["check", "--pair", "m2", "x1"])
         assert args.max_degree == 3
+        capsys.readouterr()
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        assert main(["check", "--pair", "m2", "x1"]) == 1
+        assert main(["check", "--pair", "m2", "S(4)"]) == 0
+        assert len(built) == 1
+        # the one parser still reads WID_MAX_DEGREE on every call
+        monkeypatch.setenv("WID_MAX_DEGREE", "3")
+        assert main(["check", "--pair", "m2", "S(4)"]) == 2
+        monkeypatch.delenv("WID_MAX_DEGREE")
+        assert main(["check", "--pair", "m2", "S(4)"]) == 0
+        assert len(built) == 1
+        cli._parser.cache_clear()
         capsys.readouterr()
 
 

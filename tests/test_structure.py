@@ -18,7 +18,7 @@ from weakid.freealg import (
     standard_poly,
     substitute_linear,
 )
-from weakid.linalg import PRIME, exact_rank, rank_bareiss, rank_mod_p, solve_exact
+from weakid.linalg import PRIME, exact_rank, rank_mod_p, solve_exact
 from weakid.pairs import CliffordPair, MatrixPair, is_weak_identity
 from weakid.structure import (
     DEFAULT_SEEDS,
@@ -44,6 +44,8 @@ from weakid.structure import (
     partitions,
     theorem1_check,
 )
+
+from oracles import rank_bareiss, solve_gauss_jordan
 
 
 def count_syt_brute(lam):
@@ -563,11 +565,60 @@ class TestFactorThroughStandard:
         fac = factor_through_standard(3, [(1,), ()])
         assert fac.variant == "right" and fac.verified
 
+    def test_same_answers_with_the_gauss_jordan_oracle(self, monkeypatch):
+        # every interleaving of total degree <= 3 at n = 2, 3: x letters for
+        # the right variant, three y letters for the two-sided one
+        cases = []
+        for n in (2, 3):
+            for total in range(4):
+                for split in itertools.product(range(total + 1), repeat=n - 1):
+                    if sum(split) != total:
+                        continue
+                    for alphabet in (range(1, n + 1), range(n + 1, n + 4))[: 2 if total else 1]:
+                        words = (itertools.product(alphabet, repeat=m) for m in split)
+                        cases += [(n, ys) for ys in itertools.product(*words)]
+        assert len(cases) == 337
+        got = [factor_through_standard(n, ys) for n, ys in cases]
+        monkeypatch.setattr(structure, "solve_exact", solve_gauss_jordan)
+        for (n, ys), fac in zip(cases, got):
+            want = factor_through_standard(n, ys)
+            assert (fac.variant, fac.right_factor, fac.pairs) == (
+                want.variant, want.right_factor, want.pairs), (n, ys)
+
     def test_interleaved_sum_shape(self):
         f = interleaved_alternating_sum(2, [(3,)])
         assert f == NcPoly({(1, 3, 2): 1, (2, 3, 1): -1})
         with pytest.raises(ValueError):
             interleaved_alternating_sum(3, [(4,)])
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, rhs, consistent) for an m x c rational system of a drawn rank r
+    (an m x r times an r x c factor): empty, under- and over-determined,
+    with integer and Fraction entries past int64.  A consistent rhs is
+    rows @ x for a drawn x; the other rhs is drawn freely, and is
+    inconsistent for most rank-deficient rows."""
+    m, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    r = draw(st.integers(0, min(m, c)))
+    top = draw(st.sampled_from([2, 50, 2**70]))
+    entry = st.one_of(st.integers(-top, top),
+                      st.builds(Fraction, st.integers(-top, top), st.integers(1, 7)))
+
+    def matrix(nrows, ncols):
+        return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+
+    left, right = matrix(m, r), matrix(r, c)
+    rows = [[sum((left[i][t] * right[t][j] for t in range(r)), 0) for j in range(c)]
+            for i in range(m)]
+    consistent = draw(st.booleans())
+    if consistent:
+        x = draw(st.lists(entry, min_size=c, max_size=c))
+        rhs = [sum((a * b for a, b in zip(row, x)), 0) for row in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    return rows, rhs, consistent
 
 
 class TestLinalg:
@@ -626,6 +677,18 @@ class TestLinalg:
         # underdetermined: free variable pinned to zero
         sol = solve_exact([[1, 1]], [5])
         assert sol == [Fraction(5), Fraction(0)]
+        assert solve_exact([], []) == solve_exact([[]], [0]) == []
+        assert solve_exact([[]], [1]) is None
+
+    @given(rational_systems())
+    def test_solve_exact_equals_gauss_jordan(self, system):
+        rows, rhs, consistent = system
+        sol = solve_exact(rows, rhs)
+        assert sol == solve_gauss_jordan(rows, rhs)
+        if consistent:
+            assert sol is not None
+        if sol is not None:
+            assert all(sum(a * x for a, x in zip(row, sol)) == b for row, b in zip(rows, rhs))
 
 
 @st.composite
