@@ -344,21 +344,3 @@ def orbit_sign_matrix(words: Sequence[Sequence[int]], k: int) -> np.ndarray:
     odd = (np.bitwise_count(common) ^ below) & 1
     return np.where(odd, np.int8(-1), np.int8(1))
 
-
-def signed_sums(coeffs, signs: np.ndarray) -> np.ndarray:
-    """Exact ``coeffs @ signs`` for integer coefficients and a matrix of
-    entries in {-1, 0, 1}.
-
-    A float64 (BLAS) product when every row of coefficients fits in int64
-    and has sum of magnitudes below 2^53, so that every partial sum is an
-    exactly represented integer; Python integers otherwise.
-    """
-    try:
-        c = np.asarray(coeffs, dtype=np.int64)
-    except OverflowError:
-        c = None
-    if c is not None:
-        cf = c.astype(np.float64)
-        if (np.abs(cf).sum(axis=-1) < 2**53).all():
-            return (cf @ signs.astype(np.float64)).astype(np.int64)
-    return np.asarray(coeffs, dtype=object) @ signs.astype(object)

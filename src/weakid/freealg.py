@@ -208,32 +208,20 @@ SQUARE_COMMUTATOR = commutator(NcPoly.gen(1) ** 2, NcPoly.gen(2))
 
 
 def standard_poly(n: int) -> NcPoly:
-    """The alternating polynomial S_n = sum over S_n of sign(s) x_{s(1)}..x_{s(n)}."""
+    """The alternating polynomial S_n = sum over S_n of sign(s) x_{s(1)}..x_{s(n)}.
+
+    In itertools.permutations order a first letter with a smaller letters
+    after it adds a inversions: the parities for m letters are those for
+    m - 1, flipped in every odd block of (m - 1)! words."""
     if n < 1:
         raise ValueError("standard polynomial needs n >= 1")
-    signs = {1: Fraction(1), -1: Fraction(-1)}
+    odd = [0]
+    for m in range(2, n + 1):
+        odd = [o ^ (a & 1) for a in range(m) for o in odd]
+    signs = (Fraction(1), Fraction(-1))
     return NcPoly._from_terms(
-        {perm: signs[perm_sign(perm)] for perm in itertools.permutations(range(1, n + 1))}
+        {perm: signs[o] for perm, o in zip(itertools.permutations(range(1, n + 1)), odd)}
     )
-
-
-def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a sequence of distinct values."""
-    sign = 1
-    seen = [False] * len(perm)
-    rank = {v: i for i, v in enumerate(sorted(perm))}
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = rank[perm[j]]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def star(f: NcPoly) -> NcPoly:

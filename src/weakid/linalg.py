@@ -18,11 +18,8 @@ PRIME = 2**31 - 1
 #: A second prime below 2^31, for a Chinese-remainder lift in certified_rank.
 PRIME2 = 2**31 - 19
 
-#: Rows updated together in one pivot step of the elimination.
+#: Rows per block: of a pivot step, of a reduction modulo p, of a product.
 BLOCK_ROWS = 128
-#: Matrix entries per row block when reducing modulo p and in the exact
-#: check of certified_rank.
-BLOCK_ENTRIES = 1 << 15
 #: Bound on the entries of a lifted kernel vector, so that they fit in int64.
 LIFT_LIMIT = 1 << 62
 
@@ -96,14 +93,18 @@ def rank_mod_p(rows, p: int = PRIME) -> int:
 
 def _integer_matrix(rows) -> np.ndarray:
     """rows as a 2-d array whose products with int64 stay int64: a signed or
-    narrow unsigned integer dtype, else Python ints (object).  A float
-    matrix is refused, so that no rounded entry reaches an exact check."""
+    narrow unsigned integer dtype, else Python ints (object), as for nested
+    Python ints that numpy reads as float64.  Any other entry (a float or a
+    Fraction) is refused, so that no rounded entry reaches an exact check."""
     a = np.atleast_2d(np.asarray(rows))
-    if a.dtype.kind in "bi" or (a.dtype.kind == "u" and a.dtype.itemsize < 8):
-        return a
-    if a.dtype.kind in "uO" or a.size == 0:
+    if a.dtype.kind == "f" and not isinstance(rows, np.ndarray):
+        a = np.atleast_2d(np.asarray(rows, dtype=object))
+    if a.dtype.kind in "biu":
+        return a if a.dtype.kind != "u" or a.dtype.itemsize < 8 else a.astype(object)
+    bad = next((x for x in a.flat if not isinstance(x, (int, np.integer))), None)
+    if bad is None:
         return a.astype(object)
-    raise TypeError(f"expected an integer matrix, not dtype {a.dtype}")
+    raise TypeError(f"expected an integer matrix, not an entry {bad!r}")
 
 
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
@@ -118,9 +119,8 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _row_blocks(a: np.ndarray):
-    """Slices of a's rows, about BLOCK_ENTRIES entries each."""
-    step = max(1, BLOCK_ENTRIES // max(1, a.shape[1]))
-    return (slice(start, start + step) for start in range(0, a.shape[0], step))
+    """Slices of a's rows, BLOCK_ROWS each."""
+    return (slice(start, start + BLOCK_ROWS) for start in range(0, a.shape[0], BLOCK_ROWS))
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool) -> list[int]:
@@ -214,15 +214,24 @@ def _lift(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
     return k * factor, scales
 
 
+def exact_product(a, b) -> np.ndarray:
+    """Exact ``a @ b`` for integer matrices, as int64 or Python ints (object),
+    in the tier of _product_dtype; a is converted one row block at a time."""
+    a, b = _integer_matrix(a), _integer_matrix(b)
+    dtype = _product_dtype(a, b)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=object if dtype is object else np.int64)
+    b = b.astype(dtype)
+    for rows in _row_blocks(a):
+        out[rows] = a[rows].astype(dtype) @ b
+    return out
+
+
 def _in_kernel(a: np.ndarray, pivots: list[int], free: np.ndarray, x: np.ndarray,
                scales: np.ndarray) -> bool:
     """Whether a @ X == 0 exactly, for X with rows x at the pivot columns
-    and diag(scales) at the free columns, in row blocks.  No partial sum of
-    the product exceeds max|a| times the largest column sum of |X|.  When
-    that bound is below 2^53 the blocks are float64 (BLAS) products, in
-    which every partial sum is an exactly represented integer; below 2^61
-    they are int64 products; otherwise Python ints."""
-    dtype = object if a.dtype == object else _product_dtype(a, x, scales)
+    and diag(scales) at the free columns, in row blocks, in the tier of a
+    times x stacked over the scales (the same column sums as X)."""
+    dtype = _product_dtype(a, np.vstack([x, scales]))
     x, scales = x.astype(dtype), scales.astype(dtype)
     for rows in _row_blocks(a):
         block = a[rows].astype(dtype)
@@ -231,16 +240,34 @@ def _in_kernel(a: np.ndarray, pivots: list[int], free: np.ndarray, x: np.ndarray
     return True
 
 
-def _product_dtype(a: np.ndarray, x: np.ndarray, scales: np.ndarray):
-    """float64, int64 or object: the tier of _in_kernel for an integer a."""
-    top = max(-int(a.min()), int(a.max()))
-    abs_x = np.abs(x)
-    # the float64 estimate is off by far less than the factor 2 of margin,
-    # so the exact int64 column sums below cannot overflow
-    if top * (abs_x.sum(axis=0, dtype=np.float64) + scales).max() >= 2.0**61:
+def _product_dtype(a: np.ndarray, b: np.ndarray):
+    """float64, int64 or object: a tier in which a @ b is exact.
+
+    No partial sum exceeds the largest row sum of |a| times max|b|, nor
+    max|a| times the largest column sum of |b|; the sums are taken over the
+    smaller operand, in float64 (no wraparound), where they are exact below
+    2^53 and at least 2^53 above.  Below 2^53 every partial sum is an
+    exactly represented float64; below 2^61 (room for the rounding) int64
+    holds it; otherwise Python ints.
+    """
+    if "O" in (a.dtype.kind, b.dtype.kind):
         return object
-    bound = top * int((abs_x.sum(axis=0) + scales).max())
-    return np.float64 if bound < 2**53 else np.int64
+    if a.size == 0 or b.size == 0:
+        return np.int64
+    if a.size <= b.size:
+        top, most = _magnitude(b), float(np.abs(a, dtype=np.float64).sum(axis=1).max())
+    else:
+        top, most = _magnitude(a), float(np.abs(b, dtype=np.float64).sum(axis=0).max())
+    if top * most >= 2.0**61:
+        return object
+    return np.float64 if top * int(most) < 2**53 else np.int64
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """A bound on |a|: for 8- and 16-bit integers the dtype's, with no pass over a."""
+    if a.dtype.kind in "iu" and a.dtype.itemsize <= 2:
+        return 1 << (8 * a.dtype.itemsize - (a.dtype.kind == "i"))
+    return max(-int(a.min()), int(a.max()))
 
 
 def certified_rank(rows) -> int:

@@ -26,6 +26,7 @@ from .freealg import (
     multihomogeneous_components,
     multilinearize,
 )
+from .linalg import exact_product
 from .scalars import Coeff, ParamPoly
 
 
@@ -175,7 +176,7 @@ def _clifford_component_witness(ml: NcPoly, pair: CliffordPair) -> Witness | Non
     q-monomial and blade.
     """
     words, coeffs, den = _integer_rows(ml)
-    sums = clifford.signed_sums(coeffs, clifford.orbit_sign_matrix(words, pair.k))
+    sums = exact_product([coeffs], clifford.orbit_sign_matrix(words, pair.k))[0]
     bad = np.flatnonzero(sums)
     if bad.size == 0:
         return None
@@ -236,7 +237,7 @@ def _matrix_component_witness(ml: NcPoly, target: MatrixPair) -> Witness | None:
     n = words.shape[1]
     step = max(1, BLOCK_ENTRIES // (4 * len(words)))
     for start in range(0, 3**n, step):
-        sums = clifford.signed_sums(coeffs, m2_evaluation_matrix(words, start, start + step))
+        sums = exact_product([coeffs], m2_evaluation_matrix(words, start, start + step))[0]
         bad = np.flatnonzero(sums)
         if bad.size:
             at = bad[0] // 4

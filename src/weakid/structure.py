@@ -25,7 +25,6 @@ from .clifford import (
     orbit_representatives,
     orbit_sign_matrix,
     sequence_sign,
-    signed_sums,
     tuple_blade,
     tuple_q_exponents,
 )
@@ -47,7 +46,8 @@ from .freealg import (
 from .freealg import substitute_linear  # noqa: F401
 # exact_rank is unused here since every rank is certified; kept importable
 # as structure.exact_rank for the same traced run.
-from .linalg import certified_rank, exact_rank, rank_mod_p, solve_exact  # noqa: F401
+from .linalg import exact_rank  # noqa: F401
+from .linalg import certified_rank, exact_product, rank_mod_p, solve_exact
 from .pairs import (
     CliffordPair,
     MatrixPair,
@@ -525,7 +525,7 @@ def span_vs_kernel(
     """
     kernel = evaluation_kernel(n, CliffordPair.symbolic(k), seeds=seeds)
     span = _span_matrix(n, generators)
-    containment = not signed_sums(span, orbit_sign_matrix(multilinear_words(n), k)).any()
+    containment = not exact_product(span, orbit_sign_matrix(multilinear_words(n), k)).any()
     rank = rank_mod_p(span) if containment else None
     if rank != kernel.kernel_dim:
         rank = certified_rank(span)
@@ -734,7 +734,7 @@ def _solve_modulo_identities(
         if ml.generators() != letters:
             raise AssertionError("polarization produced mismatched variable sets")
         words, coeffs, den = _integer_rows(ml)
-        columns.append(signed_sums(coeffs, orbit_sign_matrix(words, len(letters))).tolist())
+        columns.append(exact_product([coeffs], orbit_sign_matrix(words, len(letters)))[0].tolist())
         dens.append(den)
     rows = [eq[1:] for eq in zip(*columns)]
     z = solve_exact(rows, columns[0])

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare weakid against.
 
 Each is a plain, independent algorithm for a job that weakid does another
-way: dense Bareiss rank, Gauss-Jordan solving over Fractions, and random
-invertible substitutions for the GL-invariance tests.
+way: dense Bareiss rank, Gauss-Jordan solving over Fractions, permutation
+signs from the cycle decomposition, and random invertible substitutions for
+the GL-invariance tests.
 """
 
 from __future__ import annotations
@@ -81,6 +82,25 @@ def solve_gauss_jordan(
     for i, col in enumerate(pivot_cols):
         x[col] = aug[i][ncols]
     return x
+
+
+def perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation given as a sequence of distinct values."""
+    sign = 1
+    seen = [False] * len(perm)
+    rank = {v: i for i, v in enumerate(sorted(perm))}
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = rank[perm[j]]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def random_invertible_substitution(n: int, rng) -> dict[int, NcPoly]:

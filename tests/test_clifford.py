@@ -16,12 +16,12 @@ from weakid.clifford import (
     orbit_sign_matrix,
     sequence_sign,
     sign_table,
-    signed_sums,
     tuple_blade,
     tuple_q_exponents,
     word_sign_vector,
 )
 from weakid.freealg import NcPoly, commutator, multilinear_words, standard_poly
+from weakid.linalg import _product_dtype, exact_product
 from weakid.scalars import ParamPoly
 
 SYM3 = FormParams(3)
@@ -299,11 +299,13 @@ class TestOrbitSigns:
     def test_empty_word(self):
         assert orbit_sign_matrix([()], 3).tolist() == [[1]]
 
-    def test_signed_sums_exact(self):
+    def test_exact_product_with_signs(self):
         signs = np.array([[1, -1], [1, 1], [-1, 1]], dtype=np.int8)
-        small = signed_sums([3, 4, 5], signs)
-        assert small.dtype == np.int64 and small.tolist() == [2, 6]
+        small = exact_product([[3, 4, 5]], signs)
+        assert _product_dtype(np.array([[3, 4, 5]]), signs) == np.float64
+        assert small.dtype == np.int64 and small.tolist() == [[2, 6]]
         big = [2**62, 2**62, -(2**63)]
-        assert signed_sums(big, signs).tolist() == [2**64, -(2**63)]
-        rows = signed_sums([[1, 2, 3], [2**70, 0, 1]], signs)
+        assert _product_dtype(np.array([big]), signs) == object
+        assert exact_product([big], signs).tolist() == [[2**64, -(2**63)]]
+        rows = exact_product([[1, 2, 3], [2**70, 0, 1]], signs)
         assert rows.tolist() == [[0, 4], [2**70 - 1, -(2**70) + 1]]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,12 +16,13 @@ from weakid.freealg import (
     multihomogeneous_components,
     multilinear_words,
     multilinearize,
-    perm_sign,
     standard_poly,
     star,
     substitute_linear,
     word_key,
 )
+
+from oracles import perm_sign
 
 x1, x2, x3 = NcPoly.gen(1), NcPoly.gen(2), NcPoly.gen(3)
 
@@ -149,6 +151,12 @@ class TestStandardPoly:
     def test_invalid(self):
         with pytest.raises(ValueError):
             standard_poly(0)
+
+    def test_matches_perm_sign_in_values_and_order(self):
+        for n in range(1, 8):
+            want = {p: Fraction(perm_sign(p)) for p in itertools.permutations(range(1, n + 1))}
+            got = standard_poly(n).terms
+            assert list(got.items()) == list(want.items())
 
 
 def test_perm_sign():

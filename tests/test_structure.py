@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -729,10 +731,10 @@ class TestInKernelTiers:
     ])
     def test_true_kernel_holds_and_off_by_one_fails(self, m, tier):
         a, pivots, free, x, scales = in_kernel_case(m)
-        assert linalg._product_dtype(a, x, scales) == tier
+        assert linalg._product_dtype(a, np.vstack([x, scales])) == tier
         assert linalg._in_kernel(a, pivots, free, x, scales)
         a, pivots, free, x, scales = in_kernel_case(m, off=1)
-        assert linalg._product_dtype(a, x, scales) == tier
+        assert linalg._product_dtype(a, np.vstack([x, scales])) == tier
         assert not linalg._in_kernel(a, pivots, free, x, scales)
         a, pivots, free, x, scales = in_kernel_case(m)
         scales += 1
@@ -742,7 +744,7 @@ class TestInKernelTiers:
         # a @ X = 2^32 (2^32 + 1) - 2^32 = 2^64, which is 0 modulo 2^64
         a = np.array([[2**32, -(2**32)]], dtype=np.int64)
         x, scales = np.array([[2**32 + 1]], dtype=np.int64), np.array([1], dtype=np.int64)
-        assert linalg._product_dtype(a, x, scales) == object
+        assert linalg._product_dtype(a, np.vstack([x, scales])) == object
         assert not linalg._in_kernel(a, [0], np.array([False, True]), x, scales)
 
     def test_object_matrix_takes_python_ints(self):
@@ -750,6 +752,69 @@ class TestInKernelTiers:
         a = a.astype(object) * 2**30
         assert linalg._in_kernel(a, pivots, free, x, scales)
         assert not linalg._in_kernel(a, *in_kernel_case(2**40, off=1)[1:])
+
+
+#: Entries at the edges of the product tiers: the int8 minimum, +-2^31, and
+#: entries whose sums land just under and over 2^53, 2^61 and 2^63.
+PRODUCT_EDGES = [0, 1, -1, -128, 127, 2**31, -(2**31), 2**52 - 1, 2**52, 2**52 + 1,
+                 -(2**53) + 1, 2**53 + 1, 2**60 - 1, 2**60 + 1, -(2**61) + 1, 2**61 + 1,
+                 2**63 - 1, -(2**63)]
+
+
+@st.composite
+def product_operands(draw):
+    """Integer matrices a (m x k) and b (k x c), m from 0, each of a drawn
+    dtype (int8 to int64, uint64 or Python ints) with entries at the
+    PRODUCT_EDGES or anywhere in its range."""
+    m, k, c = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 4))
+
+    def operand(rows, cols):
+        dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint64, object]))
+        lo, hi = (-(2**70), 2**70) if dtype is object else (np.iinfo(dtype).min, np.iinfo(dtype).max)
+        edges = [e for e in PRODUCT_EDGES if lo <= e <= hi]
+        entry = st.sampled_from(edges) | st.integers(int(lo), int(hi))
+        cells = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells, dtype=dtype).reshape(rows, cols)
+
+    return operand(m, k), operand(k, c)
+
+
+def python_product(a, b, ncols: int) -> list[list[int]]:
+    """a @ b in Python ints, for nested lists a and b (b has ncols columns)."""
+    return [[sum(int(x) * int(row[j]) for x, row in zip(r, b)) for j in range(ncols)] for r in a]
+
+
+class TestExactProduct:
+    @given(product_operands())
+    def test_equals_python_ints(self, ab):
+        a, b = ab
+        got = linalg.exact_product(a, b)
+        assert got.dtype in (np.int64, object) and got.shape == (len(a), b.shape[1])
+        assert got.tolist() == python_product(a.tolist(), b.tolist(), b.shape[1])
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_any_row_block_size(self, monkeypatch, block_rows):
+        monkeypatch.setattr(linalg, "BLOCK_ROWS", block_rows)
+        rng = random.Random(block_rows)
+        # one float64, one int64 and two Python-int products
+        for top in (1, 2**26, 2**31, 2**70):
+            a = [[rng.randint(-top, top) for _ in range(6)] for _ in range(7)]
+            b = [[rng.randint(-top, top) for _ in range(4)] for _ in range(6)]
+            assert linalg.exact_product(a, b).tolist() == python_product(a, b, 4)
+        signs = orbit_sign_matrix(multilinear_words(4), 4)
+        assert linalg.certified_rank(signs) == rank_mod_p(signs) == 10
+        assert linalg.certified_rank([[2**70, 1], [2**71, 2], [0, 0]]) == 1
+        assert theorem1_check(4).ok
+
+    def test_theorem1_peak_memory(self):
+        # the span is converted one row block at a time, never whole
+        tracemalloc.start()
+        try:
+            assert theorem1_check(6).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestCertifiedRank:
@@ -775,6 +840,19 @@ class TestCertifiedRank:
         wide = np.array([[2**64 - 1, 1], [1, 2**64 - 1]], dtype=np.uint64)
         assert linalg.certified_rank(wide) == rank_bareiss(wide.tolist()) == 2
         assert linalg.certified_rank(orbit_sign_matrix(multilinear_words(4), 4)) == 10
+
+    def test_python_ints_beyond_int64(self):
+        # numpy infers float64 for these nested lists
+        assert linalg.certified_rank([[2**63, -(2**63)], [1, 2]]) == 2
+        assert rank_mod_p([[2**63, 1], [1, 2]]) == 2
+        assert linalg.exact_product([[2**63, -(2**63)]], [[1], [1]]).tolist() == [[0]]
+
+    def test_fraction_entries_are_refused(self):
+        # [[1/2, 1], [1, 2]] has rank 1; read as integers it had rank 2
+        for rows in ([[Fraction(1, 2), 1], [1, 2]], np.array([[Fraction(1, 2), 1], [1, 2]])):
+            for f in (linalg.certified_rank, rank_mod_p, lambda r: linalg.exact_product(r, r)):
+                with pytest.raises(TypeError, match="integer matrix"):
+                    f(rows)
 
     def test_float_matrix_is_refused(self):
         for rows in ([[1.0, 2.0]], np.array([[2**63, 1]], dtype=np.float64)):
