@@ -8,7 +8,7 @@ single machine-readable object per invocation.
 
 Exit codes: 0 = holds / computation succeeded; 1 = identity fails or a
 checked equality does not hold (witness or report emitted); 2 = usage or
-parse error.
+parse error, or an input too large for memory.
 """
 
 from __future__ import annotations
@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default="default",
         help="form values at which to spot-check the orbit sign matrix against "
-        "symbolic evaluation: 'default', 'none', or lists like '2,3,5;7,11,13'",
+        "exact products of basis vectors: 'default', 'none', or lists like "
+        "'2,3,5;7,11,13'",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -440,6 +441,10 @@ def main(argv=None) -> int:
         inputs, outcome, lines, code = handler(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory; the input is too large at --max-degree "
+              f"{args.max_degree}", file=sys.stderr)
         return 2
     seconds = time.monotonic() - start
     report = Report(

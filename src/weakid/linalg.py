@@ -226,6 +226,25 @@ def exact_product(a, b) -> np.ndarray:
     return out
 
 
+def gram(a) -> np.ndarray:
+    """Exact a^T a for an integer matrix, as int64 or Python ints (object).
+
+    It has the rank of a over Q (a^T a x = 0 gives |a x|^2 = 0), and its
+    kernel vectors are those of a.  Summed over row blocks of a, in the tier
+    of the bound max|a|^2 * rows on every partial sum, which _magnitude
+    takes from the dtype alone for 8- and 16-bit a.
+    """
+    a = _integer_matrix(a)
+    if a.size == 0:
+        return np.zeros((a.shape[1], a.shape[1]), dtype=np.int64)
+    dtype = _exact_dtype(_magnitude(a) ** 2 * a.shape[0])
+    out = np.zeros((a.shape[1], a.shape[1]), dtype=dtype)
+    for rows in _row_blocks(a):
+        block = a[rows].astype(dtype)
+        out += block.T @ block
+    return out.astype(np.int64) if dtype is np.float64 else out
+
+
 def _in_kernel(a: np.ndarray, pivots: list[int], free: np.ndarray, x: np.ndarray,
                scales: np.ndarray) -> bool:
     """Whether a @ X == 0 exactly, for X with rows x at the pivot columns
@@ -246,21 +265,27 @@ def _product_dtype(a: np.ndarray, b: np.ndarray):
     No partial sum exceeds the largest row sum of |a| times max|b|, nor
     max|a| times the largest column sum of |b|; the sums are taken over the
     smaller operand, in float64 (no wraparound), where they are exact below
-    2^53 and at least 2^53 above.  Below 2^53 every partial sum is an
-    exactly represented float64; below 2^61 (room for the rounding) int64
-    holds it; otherwise Python ints.
+    2^53 and at least 2^53 above; _exact_dtype takes the tier of the bound.
     """
     if "O" in (a.dtype.kind, b.dtype.kind):
         return object
     if a.size == 0 or b.size == 0:
         return np.int64
     if a.size <= b.size:
-        top, most = _magnitude(b), float(np.abs(a, dtype=np.float64).sum(axis=1).max())
+        top, most = _magnitude(b), np.abs(a, dtype=np.float64).sum(axis=1).max()
     else:
-        top, most = _magnitude(a), float(np.abs(b, dtype=np.float64).sum(axis=0).max())
-    if top * most >= 2.0**61:
+        top, most = _magnitude(a), np.abs(b, dtype=np.float64).sum(axis=0).max()
+    return _exact_dtype(top * int(most))
+
+
+def _exact_dtype(bound: int):
+    """The tier for integer sums of magnitude at most bound: float64 below
+    2^53, where every such sum is an exactly represented float64; int64
+    below 2^61 (room for a bound rounded in float64); otherwise object, for
+    Python ints."""
+    if bound >= 2**61:
         return object
-    return np.float64 if top * int(most) < 2**53 else np.int64
+    return np.float64 if bound < 2**53 else np.int64
 
 
 def _magnitude(a: np.ndarray) -> int:

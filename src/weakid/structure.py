@@ -19,9 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .clifford import (
-    CliffordElt,
     FormParams,
-    evaluate,
+    blade_str,
     orbit_representatives,
     orbit_sign_matrix,
     sequence_sign,
@@ -47,7 +46,7 @@ from .freealg import substitute_linear  # noqa: F401
 # exact_rank is unused here since every rank is certified; kept importable
 # as structure.exact_rank for the same traced run.
 from .linalg import exact_rank  # noqa: F401
-from .linalg import certified_rank, exact_product, rank_mod_p, solve_exact
+from .linalg import certified_rank, exact_product, gram, rank_mod_p, solve_exact
 from .pairs import (
     CliffordPair,
     MatrixPair,
@@ -60,8 +59,8 @@ from .pairs import (
 Partition = tuple[int, ...]
 
 #: Deterministic prime specializations of the form parameters, at which
-#: evaluation_kernel spot-checks the orbit sign matrix against symbolic
-#: evaluation.
+#: evaluation_kernel spot-checks the orbit sign matrix against products of
+#: basis vectors with those values.
 DEFAULT_SEEDS = (
     (2, 3, 5, 7, 11, 13, 17, 19),
     (23, 29, 31, 37, 41, 43, 47, 53),
@@ -312,8 +311,11 @@ class RankReport:
     kernel_dim = n! - rank and quotient_dim = rank always hold.  The rank
     is exact over Q: linalg.certified_rank takes it modulo 2^31 - 1 (a lower
     bound) and proves the upper bound with a kernel basis lifted to integers
-    and checked exactly, else ranks exactly.  A span rank of span_vs_kernel
-    may instead meet the exact kernel dimension modulo the prime.
+    and checked exactly, else ranks exactly.  A Clifford kernel is ranked
+    through the Gram matrix of its orbit sign matrix, which has the same
+    rank.  A span rank of span_vs_kernel may instead meet the exact kernel
+    dimension modulo the prime.  seeds are the form values at which the
+    orbit sign matrix was spot-checked.
     """
 
     degree: int
@@ -422,16 +424,28 @@ def _seed_form(k: int, primes: Sequence[int]) -> FormParams:
     return FormParams(k, tuple(primes[:k]))
 
 
-def _q_value(seq: Sequence[int], form: FormParams) -> int:
-    """Contraction monomial of a basis tuple at explicit integer form values."""
-    return prod(int(q) ** e for q, e in zip(form.values, tuple_q_exponents(seq, form.k)))
+def _basis_product(labels: Sequence[int], values: Sequence[Fraction]) -> tuple[Fraction, int]:
+    """e_{l_1} ... e_{l_N} at explicit form values, as (coefficient, blade).
+
+    The basis vectors are multiplied onto the blade one at a time: e_i moves
+    left past the higher vectors already in the blade (one sign each), then
+    contracts with e_i (a factor q_i) if the blade holds it.
+    """
+    coeff, blade = Fraction(1), 0
+    for i in labels:
+        if (blade >> i).bit_count() % 2:
+            coeff = -coeff
+        if blade >> (i - 1) & 1:
+            coeff *= values[i - 1]
+        blade ^= 1 << (i - 1)
+    return coeff, blade
 
 
 def _spot_check_orbit_signs(
     words: Sequence[Word], signs: np.ndarray, form: FormParams, rng: random.Random
 ) -> None:
-    """Evaluate sampled (word, tuple) pairs symbolically at explicit form values
-    and compare with the orbit prediction eps * sign * q^e * blade.
+    """Multiply out sampled (word, tuple) pairs at explicit form values and
+    compare with the orbit prediction eps * sign * q^e * blade.
 
     Each sampled tuple is its representative relabelled by a random
     permutation of 1..k, so most samples are not representatives; eps is
@@ -446,14 +460,19 @@ def _spot_check_orbit_signs(
         relabel = rng.sample(range(1, k + 1), k)
         t = [relabel[r - 1] for r in rep]
         eps = sequence_sign(t) * sequence_sign(rep)
-        want = CliffordElt(form, {tuple_blade(t): eps * int(signs[i, j]) * _q_value(t, form)})
-        assign = {g: CliffordElt.basis_vector(t[g - 1], form) for g in range(1, len(t) + 1)}
-        got = evaluate(NcPoly.monomial(words[i]), assign, form)
+        q = prod(v ** e for v, e in zip(form.values, tuple_q_exponents(t, k)))
+        want = (eps * int(signs[i, j]) * q, tuple_blade(t))
+        got = _basis_product([t[g - 1] for g in words[i]], form.values)
         if got != want:
             raise ArithmeticError(
                 f"word {words[i]} at basis tuple {tuple(t)} with form values "
-                f"{form.values} evaluates to {got}, orbit sign matrix predicts {want}"
+                f"{form.values} evaluates to {_term_str(*got)}, "
+                f"orbit sign matrix predicts {_term_str(*want)}"
             )
+
+
+def _term_str(coeff: Fraction, blade: int) -> str:
+    return f"{coeff}*{blade_str(blade)}" if blade else str(coeff)
 
 
 def evaluation_kernel(
@@ -466,12 +485,15 @@ def evaluation_kernel(
     factors as a nonzero parameter monomial times an integer sign vector, so
     the generic rank is certified_rank of the sign vectors, one per orbit
     of basis tuples under relabelling (the other columns repeat these up to
-    sign).  Scaling a column by a nonzero q-monomial keeps the rank, so each
-    requested prime specialization (seeds) checks the factorization itself:
-    a sample of sign matrix entries is compared with symbolic evaluation at
-    those form values.  For the M2 pair the columns are the entries of the
-    words at every basis tuple of E, F, H (``m2_evaluation_matrix``); the
-    nonzero ones are ranked.
+    sign).  That matrix S is dense +-1 with far more rows than rank, so the
+    rank is taken of its Gram matrix S^T S instead: the same rank over Q and
+    the same kernel vectors, which certify it.  Scaling a column by a
+    nonzero q-monomial keeps the rank, so each requested specialization of
+    the form values (seeds) checks the factorization itself: a sample of
+    sign matrix entries is compared with the products of basis vectors at
+    those values, multiplied out exactly.  For the M2 pair the columns are
+    the entries of the words at every basis tuple of E, F, H
+    (``m2_evaluation_matrix``); the nonzero ones are ranked.
     """
     words = multilinear_words(n)
     nfact = len(words)
@@ -479,7 +501,7 @@ def evaluation_kernel(
         k = target.k
         forms = [_seed_form(k, primes) for primes in seeds]
         signs = orbit_sign_matrix(words, k)
-        rank = certified_rank(signs)
+        rank = certified_rank(gram(signs))
         rng = random.Random(0)
         for form in forms:
             _spot_check_orbit_signs(words, signs, form, rng)

@@ -303,6 +303,17 @@ class TestCli:
         assert main(["check", "--pair", "clifford:2", "x1*("]) == 2
         assert "position" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch):
+        # exit 1 would read as "fails"; running out of memory is no verdict
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "is_weak_identity", exhausted)
+        assert main(["--max-degree", "4", "check", "--pair", "clifford:3", "S(4)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "out of memory" in captured.err
+        assert "--max-degree 4" in captured.err
+
     def test_bad_pair_exit_2(self, capsys):
         assert main(["check", "--pair", "clifford:0", "x1"]) == 2
         assert main(["check", "--pair", "m3", "x1"]) == 2

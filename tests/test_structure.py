@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakid import linalg, structure
-from weakid.clifford import orbit_sign_matrix
+from weakid.clifford import CliffordElt, FormParams, evaluate, orbit_sign_matrix
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
     NcPoly,
@@ -491,6 +491,48 @@ class TestEvaluationKernel:
         with pytest.raises(ArithmeticError, match="orbit sign matrix predicts"):
             evaluation_kernel(3, CliffordPair.symbolic(3), seeds=DEFAULT_SEEDS[:1])
 
+    @pytest.mark.parametrize("name, wrong", [
+        ("tuple_q_exponents", lambda e: (e[0] + 1, *e[1:])),
+        ("tuple_blade", lambda blade: blade ^ 1),
+    ], ids=["q_exponent", "blade"])
+    def test_seed_spot_check_catches_a_wrong_prediction(self, monkeypatch, name, wrong):
+        # a prediction with one q-exponent too many, or the wrong blade
+        real = getattr(structure, name)
+        monkeypatch.setattr(structure, name, lambda *args: wrong(real(*args)))
+        evaluation_kernel(3, CliffordPair.symbolic(3))
+        with pytest.raises(ArithmeticError, match="orbit sign matrix predicts"):
+            evaluation_kernel(3, CliffordPair.symbolic(3), seeds=DEFAULT_SEEDS[:1])
+
+    def test_seed_values_that_are_fractions(self):
+        # a contraction of e1 at q1 = 3/2 is 3/2, not int(3/2) = 1
+        rep = evaluation_kernel(3, CliffordPair.symbolic(3), seeds=((Fraction(3, 2), 3, 5),))
+        assert rep.rank == 4
+        seeds = ((Fraction(-7, 3), Fraction(1, 2), 5), (Fraction(5, 4), -3, Fraction(2, 9)))
+        assert evaluation_kernel(5, CliffordPair.symbolic(3), seeds=seeds).rank == 21
+
+    @given(st.data())
+    def test_basis_product_equals_symbolic_evaluation(self, data):
+        # the spot check's fold against the CliffordElt algebra, at a random
+        # word, basis tuple and form values
+        k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 7))
+        word = data.draw(st.permutations(range(1, n + 1)))
+        t = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+        value = st.fractions(-5, 5, max_denominator=7).filter(bool)
+        form = FormParams(k, tuple(data.draw(st.lists(value, min_size=k, max_size=k))))
+        coeff, blade = structure._basis_product([t[g - 1] for g in word], form.values)
+        assign = {g: CliffordElt.basis_vector(t[g - 1], form) for g in range(1, n + 1)}
+        got = evaluate(NcPoly.monomial(tuple(word)), assign, form)
+        assert got == CliffordElt(form, {blade: coeff})
+
+    def test_gram_rank_equals_the_sign_matrix_rank(self):
+        for n in range(1, 7):
+            for k in range(1, 7):
+                signs = orbit_sign_matrix(multilinear_words(n), k)
+                assert evaluation_kernel(n, CliffordPair.symbolic(k)).rank == \
+                    linalg.certified_rank(signs)
+        assert evaluation_kernel(7, CliffordPair.symbolic(3)).rank == 127
+        assert evaluation_kernel(7, CliffordPair.symbolic(7)).rank == 232
+
     def test_bareiss_cross_check(self):
         # same ranks from the dense fraction-free path on the full k^n table
         import numpy as np
@@ -801,8 +843,10 @@ class TestExactProduct:
             a = [[rng.randint(-top, top) for _ in range(6)] for _ in range(7)]
             b = [[rng.randint(-top, top) for _ in range(4)] for _ in range(6)]
             assert linalg.exact_product(a, b).tolist() == python_product(a, b, 4)
+            assert linalg.gram(a).tolist() == python_product([*zip(*a)], a, 6)
         signs = orbit_sign_matrix(multilinear_words(4), 4)
         assert linalg.certified_rank(signs) == rank_mod_p(signs) == 10
+        assert linalg.certified_rank(linalg.gram(signs)) == 10
         assert linalg.certified_rank([[2**70, 1], [2**71, 2], [0, 0]]) == 1
         assert theorem1_check(4).ok
 
@@ -815,6 +859,54 @@ class TestExactProduct:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+
+@st.composite
+def gram_operands(draw):
+    """Integer matrices with 0 to 9 rows and 1 to 6 columns (tall and wide),
+    int8, int64 with entries up to 2^26 or 2^31, or Python ints up to 2^70;
+    some with a repeated column, so not of full column rank."""
+    m, c = draw(st.integers(0, 9)), draw(st.integers(1, 6))
+    dtype, lo, hi = draw(st.sampled_from([
+        (np.int8, -128, 127), (np.int64, -(2**26), 2**26), (np.int64, -(2**31), 2**31),
+        (object, -(2**70), 2**70)]))
+    entry = st.sampled_from([lo, -1, 0, 1, hi]) | st.integers(lo, hi)
+    a = np.array(draw(st.lists(entry, min_size=m * c, max_size=m * c)), dtype=dtype)
+    a = a.reshape(m, c)
+    if c > 1 and draw(st.booleans()):
+        a[:, -1] = a[:, 0]
+    return a
+
+
+class TestGram:
+    @given(gram_operands())
+    def test_equals_python_ints_and_keeps_the_rank(self, a):
+        got = linalg.gram(a)
+        assert got.dtype in (np.int64, object) and got.shape == (a.shape[1], a.shape[1])
+        assert got.tolist() == python_product(a.T.tolist(), a.tolist(), a.shape[1])
+        assert linalg.certified_rank(got) == rank_bareiss(a.tolist())
+
+    def test_tier_edges(self):
+        assert linalg._exact_dtype(2**53 - 1) is np.float64
+        assert linalg._exact_dtype(2**53) is linalg._exact_dtype(2**61 - 1) is np.int64
+        assert linalg._exact_dtype(2**61) is object
+        # the entry (top + 1)^2 + top^2 is 2^53 + 2^27 + 1 (int64 tier), which
+        # float64 would round, and 2^63 + 2^32 + 1 (Python ints), which int64
+        # would wrap
+        for top in (2**26, 2**31):
+            a = np.array([[top + 1], [top]], dtype=np.int64)
+            assert linalg.gram(a).tolist() == [[(top + 1) ** 2 + top**2]]
+
+    def test_no_whole_matrix_copy(self):
+        signs = orbit_sign_matrix(multilinear_words(7), 3)  # 5040 x 365 int8
+        tracemalloc.start()
+        try:
+            assert linalg.gram(signs)[0, 0] == 5040
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the whole matrix alone would take 14.7 MB
+        assert peak < signs.size * 8 // 2
 
 
 class TestCertifiedRank:
