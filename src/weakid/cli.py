@@ -40,7 +40,7 @@ class Report:
     seeds: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)  # its fields hold JSON data only
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

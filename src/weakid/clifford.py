@@ -317,6 +317,21 @@ def orbit_representatives(n: int, k: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _orbit_pair_masks(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The word-independent half of orbit_sign_matrix, read-only: the pairs
+    g < h of letters (two index arrays), the packed bits [r_g != r_h] of
+    each representative r (reps, pair bytes) and the parity of its
+    [r_g < r_h] count."""
+    reps = orbit_representatives(n, k)
+    g, h = np.triu_indices(n, 1)
+    differ = np.packbits(reps[:, g] != reps[:, h], axis=1)
+    below = ((reps[:, g] < reps[:, h]).sum(axis=1) & 1).astype(np.uint8)
+    for a in (g, h, differ, below):
+        a.setflags(write=False)
+    return g, h, differ, below
+
+
 def orbit_sign_matrix(words: Sequence[Sequence[int]], k: int) -> np.ndarray:
     """Signs of each multilinear word at each orbit representative.
 
@@ -331,14 +346,11 @@ def orbit_sign_matrix(words: Sequence[Sequence[int]], k: int) -> np.ndarray:
     """
     w = np.asarray(words, dtype=np.intp)
     n = w.shape[1]
-    reps = orbit_representatives(n, k)
-    g, h = np.triu_indices(n, 1)
+    g, h, differ, below = _orbit_pair_masks(n, k)
     pos = np.empty_like(w)
     pos[np.arange(len(w))[:, None], w - 1] = np.arange(n)
     g_first = np.packbits(pos[:, g] < pos[:, h], axis=1)  # (words, pair bytes)
-    differ = np.packbits(reps[:, g] != reps[:, h], axis=1)  # (reps, pair bytes)
-    below = ((reps[:, g] < reps[:, h]).sum(axis=1) & 1).astype(np.uint8)
-    common = np.zeros((len(w), len(reps)), dtype=np.uint8)
+    common = np.zeros((len(w), len(below)), dtype=np.uint8)
     for byte in range(g_first.shape[1]):  # one (words, reps) array at a time
         common ^= g_first[:, byte, None] & differ[:, byte]
     odd = (np.bitwise_count(common) ^ below) & 1

@@ -208,19 +208,26 @@ SQUARE_COMMUTATOR = commutator(NcPoly.gen(1) ** 2, NcPoly.gen(2))
 
 
 def standard_poly(n: int) -> NcPoly:
-    """The alternating polynomial S_n = sum over S_n of sign(s) x_{s(1)}..x_{s(n)}.
-
-    In itertools.permutations order a first letter with a smaller letters
-    after it adds a inversions: the parities for m letters are those for
-    m - 1, flipped in every odd block of (m - 1)! words."""
+    """The alternating polynomial S_n = sum over S_n of sign(s) x_{s(1)}..x_{s(n)}."""
     if n < 1:
         raise ValueError("standard polynomial needs n >= 1")
+    return _alternating(range(1, n + 1))
+
+
+def _alternating(letters: Sequence[int]) -> NcPoly:
+    """The sum of sign(s) times the word of the letters in the order s, over
+    all permutations s, in itertools.permutations order; for increasing
+    letters, S_n in those letters.
+
+    In that order a first letter with a smaller letters after it adds a
+    inversions: the parities for m letters are those for m - 1, flipped in
+    every odd block of (m - 1)! words."""
     odd = [0]
-    for m in range(2, n + 1):
+    for m in range(2, len(letters) + 1):
         odd = [o ^ (a & 1) for a in range(m) for o in odd]
     signs = (Fraction(1), Fraction(-1))
     return NcPoly._from_terms(
-        {perm: signs[o] for perm, o in zip(itertools.permutations(range(1, n + 1)), odd)}
+        {perm: signs[o] for perm, o in zip(itertools.permutations(letters), odd)}
     )
 
 
@@ -253,7 +260,7 @@ def multihomogeneous_components(f: NcPoly) -> list[NcPoly]:
     for w, c in f.terms.items():
         groups.setdefault(tuple(sorted(w)), {})[w] = c
     comps = [NcPoly._from_terms(g) for g in groups.values()]
-    comps.sort(key=lambda p: word_key(min(p.terms, key=word_key)))
+    comps.sort(key=lambda p: word_key(min(p.terms)))  # a component's words have one length
     return comps
 
 

@@ -265,17 +265,17 @@ def _product_dtype(a: np.ndarray, b: np.ndarray):
     No partial sum exceeds the largest row sum of |a| times max|b|, nor
     max|a| times the largest column sum of |b|; the sums are taken over the
     smaller operand, in float64 (no wraparound), where they are exact below
-    2^53 and at least 2^53 above; _exact_dtype takes the tier of the bound.
+    2^53 and at least 2^53 above, or bounded by _magnitude times the length
+    for 8- and 16-bit integers (no pass); _exact_dtype takes the tier of it.
     """
     if "O" in (a.dtype.kind, b.dtype.kind):
         return object
     if a.size == 0 or b.size == 0:
         return np.int64
-    if a.size <= b.size:
-        top, most = _magnitude(b), np.abs(a, dtype=np.float64).sum(axis=1).max()
-    else:
-        top, most = _magnitude(a), np.abs(b, dtype=np.float64).sum(axis=0).max()
-    return _exact_dtype(top * int(most))
+    top, small, axis = (_magnitude(b), a, 1) if a.size <= b.size else (_magnitude(a), b, 0)
+    if small.dtype.itemsize <= 2:
+        return _exact_dtype(top * _magnitude(small) * small.shape[axis])
+    return _exact_dtype(top * int(np.abs(small, dtype=np.float64).sum(axis=axis).max()))
 
 
 def _exact_dtype(bound: int):

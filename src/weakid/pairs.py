@@ -158,9 +158,11 @@ def _integer_rows(ml: NcPoly) -> tuple[np.ndarray, list[int], int]:
     """A multilinear polynomial as integer rows: its words with the letters
     renamed to 1..n in sorted order (an int array, one row per word), the
     coefficients times their common denominator den, and den."""
-    letters = sorted(ml.generators())
+    letters = sorted(next(iter(ml.terms)))  # every word has the same letters
     words = np.searchsorted(letters, np.array(list(ml.terms), dtype=np.intp)) + 1
     den = lcm(*(c.denominator for c in ml.terms.values()))
+    if den == 1:
+        return words, [c.numerator for c in ml.terms.values()], den
     coeffs = [c.numerator * (den // c.denominator) for c in ml.terms.values()]
     return words, coeffs, den
 
@@ -267,10 +269,10 @@ def is_weak_identity(
     if f.is_zero():
         raise ValueError("the zero polynomial is not a meaningful candidate")
     for comp in multihomogeneous_components(f):
-        ml = multilinearize(comp)
-        n = len(ml.generators())
+        n = len(next(iter(comp.terms)))  # before polarization makes n! words
         if n > max_degree:
             raise ValueError(f"degree {n} above cap {max_degree}")
+        ml = multilinearize(comp)
         if isinstance(target, CliffordPair):
             w = _clifford_component_witness(ml, target)
         elif isinstance(target, MatrixPair):

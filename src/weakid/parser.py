@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .freealg import NcPoly, Word, commutator, jordan, standard_poly, word_key
+from .freealg import NcPoly, Word, _alternating, commutator, jordan, word_key
 
 # AST nodes: ("num", Fraction) | ("var", index) | ("sum", ((+-1, a), ...))
 # | ("prod", (a, b, ...)) | ("pow", a, exponent) | ("comm", a, b)
@@ -253,9 +253,7 @@ def lower_expr(ast: ExprAst) -> NcPoly:
         return jordan(lower_expr(ast[1]), lower_expr(ast[2]))
     if tag == "std":
         # S(n) in the surface variables x1..xn
-        sub = {i: var_index("x", i) for i in range(1, ast[1] + 1)}
-        raw = standard_poly(ast[1])
-        return NcPoly._from_terms({tuple(sub[i] for i in w): c for w, c in raw.terms.items()})
+        return _alternating([var_index("x", i) for i in range(1, ast[1] + 1)])
     raise ValueError(f"unknown AST node {tag!r}")
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weakid import clifford
 from weakid.clifford import (
     CliffordElt,
     FormParams,
@@ -278,6 +279,30 @@ class TestOrbitSigns:
                 reps = orbit_representatives(n, k)
                 flat = np.ravel_multi_index(tuple(reps.T.astype(np.intp) - 1), (k,) * n)
                 assert np.array_equal(orbit, full[:, flat])
+
+    def test_cached_pair_masks_read_only(self):
+        for mask in clifford._orbit_pair_masks(4, 3):
+            with pytest.raises(ValueError):
+                mask[0] = 0
+
+    def test_columns_match_full_table_in_mixed_order_and_after_eviction(self):
+        # 36 (n, k) entries in shuffled order, twice: more than the 32 the
+        # cache holds, so the second round also rebuilds evicted entries
+        cells = list(itertools.product(range(1, 7), repeat=2))
+        rng = random.Random(12)
+        clifford._orbit_pair_masks.cache_clear()
+        for _ in range(2):
+            rng.shuffle(cells)
+            for n, k in cells:
+                full = _full_sign_matrix(n, k)
+                words = multilinear_words(n)
+                sample = sorted(rng.sample(range(len(words)), min(len(words), 5)))
+                got = orbit_sign_matrix([words[i] for i in sample], k)
+                reps = orbit_representatives(n, k)
+                flat = np.ravel_multi_index(tuple(reps.T.astype(np.intp) - 1), (k,) * n)
+                assert np.array_equal(got, full[sample][:, flat])
+        info = clifford._orbit_pair_masks.cache_info()
+        assert info.currsize == 32 and info.misses > len(cells)
 
     def test_every_column_is_a_signed_representative_column(self):
         for n, k in itertools.product(range(1, 6), repeat=2):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +130,23 @@ class TestIsWeakIdentity:
         with pytest.raises(ValueError, match="cap"):
             is_weak_identity(f, CliffordPair.symbolic(2))
         assert is_weak_identity(f, CliffordPair.symbolic(2), max_degree=8) is not None
+
+    def test_degree_cap_before_polarization(self):
+        # x1^12 polarizes to 12! = 479,001,600 words; the cap refuses it first
+        for target in (CliffordPair.symbolic(2), MatrixPair()):
+            tracemalloc.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(ValueError, match="degree 12 above cap 7"):
+                    is_weak_identity(x1**12, target)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.monotonic() - start < 1.0
+            assert peak < 5 * 2**20
+        # an earlier failing component still returns its witness
+        w = is_weak_identity(commutator(x1, x2) + x3**12, CliffordPair.symbolic(2))
+        assert w is not None and set(w.assignment) == {1, 2}
 
     def test_witness_component_is_reported(self):
         f = SQUARE_COMMUTATOR + commutator(x1, x2)

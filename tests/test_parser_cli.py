@@ -8,7 +8,7 @@ import pytest
 
 from weakid import cli
 from weakid.cli import Report, build_parser, main
-from weakid.freealg import NcPoly, commutator, jordan
+from weakid.freealg import NcPoly, commutator, jordan, standard_poly
 from weakid.parser import (
     MAX_NESTING,
     MAX_POWER_BITS,
@@ -67,6 +67,14 @@ class TestParser:
     def test_standard(self):
         s2 = parse_poly("S(2)")
         assert s2 == x(1) * x(3) - x(3) * x(1)
+
+    def test_standard_in_place_equals_renamed_standard_poly(self):
+        # values and key order of S(n) renamed from letters 1..n to x1..xn
+        for n in range(1, 8):
+            renamed = {tuple(var_index("x", i) for i in w): c
+                       for w, c in standard_poly(n).terms.items()}
+            got = lower_expr(("std", n)).terms
+            assert list(got.items()) == list(renamed.items())
 
     def test_whitespace_insensitive(self):
         assert parse_poly(" [ x1 ^ 2 , x2 ] ") == parse_poly("[x1^2,x2]")

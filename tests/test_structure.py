@@ -850,6 +850,18 @@ class TestExactProduct:
         assert linalg.certified_rank([[2**70, 1], [2**71, 2], [0, 0]]) == 1
         assert theorem1_check(4).ok
 
+    def test_product_dtype_takes_no_copy_of_a_narrow_operand(self):
+        signs = orbit_sign_matrix(multilinear_words(6), 4)  # 720 x 187 int8
+        span = np.ones((1000, 720), dtype=np.int64)
+        for a, b in ((span, signs), (signs.T, span.T)):
+            tracemalloc.start()
+            try:
+                assert linalg._product_dtype(a, b) is np.float64
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < signs.nbytes
+
     def test_theorem1_peak_memory(self):
         # the span is converted one row block at a time, never whole
         tracemalloc.start()
