@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import structure
-from .freealg import DEFAULT_DEGREE_CAP, NcPoly
+from .freealg import DEFAULT_DEGREE_CAP, NcPoly, _alternating
 from .pairs import CliffordPair, MatrixPair, Witness, is_weak_identity
 from .parser import ParseError, format_expr, parse_poly, var_name
 from .structure import DEFAULT_SEEDS, RankReport, SpanKernelReport
@@ -179,16 +179,8 @@ def _cmd_check(args):
 
 
 def _cmd_dim(args):
-    target = _parse_pair(args.pair)
-    rep = structure.evaluation_kernel(
-        args.n, target, seeds=args.seeds if isinstance(target, CliffordPair) else ()
-    )
-    return (
-        {"n": args.n, "pair": args.pair},
-        _rank_report_dict(rep),
-        _rank_report_lines(rep),
-        0,
-    )
+    rep = structure.evaluation_kernel(args.n, _parse_pair(args.pair), seeds=args.seeds)
+    return {"n": args.n, "pair": args.pair}, _rank_report_dict(rep), _rank_report_lines(rep), 0
 
 
 def _cmd_span(args):
@@ -296,12 +288,12 @@ def _cmd_factor(args):
 
 
 def _cmd_standard(args):
-    from .freealg import standard_poly
-
-    raw = standard_poly(args.n)
-    # present in the surface x-variables
-    surf = NcPoly._from_terms({tuple(2 * i - 1 for i in w): c for w, c in raw.terms.items()})
-    text = format_expr(surf)
+    if args.n < 1:
+        raise ValueError("standard polynomial needs n >= 1")
+    if args.n > args.max_degree:  # S_n has n! words: refuse before building them
+        raise ValueError(f"degree {args.n} above cap {args.max_degree}")
+    # S_n in the surface variables x1..xn, the odd generator indices
+    text = format_expr(_alternating(range(1, 2 * args.n, 2)))
     return {"n": args.n}, {"expr": text}, [text], 0
 
 
@@ -348,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=_env_max_degree(),
-        help="degree cap for expressions (default 7); the rank commands dim, span, "
-        "theorem1 and corollary1 are capped at degree 7 regardless",
+        help="degree cap for expressions and for standard (default 7); the rank "
+        "commands dim, span, theorem1 and corollary1 are capped at degree 7 regardless",
     )
     ap.add_argument(
         "--seeds",

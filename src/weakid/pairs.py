@@ -6,13 +6,18 @@ the traceless subspace.  A polynomial is a weak identity of a pair when it
 vanishes under every substitution of elements of that subspace; over the
 rationals this is decided by multilinearizing each multihomogeneous
 component and evaluating at all tuples of basis elements.
+
+Both pairs are evaluated by one core, the orbit sign matrix of C_k.  On sl_2,
+v^2 = B(v, v) I for B(u, v) = tr(uv)/2, so the inclusion extends to an algebra
+map phi: C_3 -> M_2 sending e1, e2, e3 to H, E+F, E-F, with q = (1, 1, -1).
+phi is injective on the even and on the odd part of C_3, where a multilinear
+value lies, so (M_2, sl_2) has the weak identities of (C_3, V_3) at that q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 from typing import Mapping, Union
 
@@ -114,6 +119,12 @@ MAT_F = Mat2(0, 0, 1, 0)
 MAT_H = Mat2(1, 0, 0, -1)
 MAT_I = Mat2(1, 0, 0, 1)
 
+#: The form at which (M_2, sl_2) is (C_3, V_3), and phi of the blades of C_3
+#: by index: the products of h1 = H, h2 = E+F, h3 = E-F in increasing order.
+_M2_FORM = FormParams(3, (1, 1, -1))
+_M2_BLADES = (MAT_I, MAT_H, MAT_E + MAT_F, MAT_E - MAT_F,
+              MAT_E - MAT_F, MAT_E + MAT_F, -MAT_H, -MAT_I)
+
 
 def mat2_evaluate(f: NcPoly, assign: Mapping[int, Mat2]) -> Mat2:
     """The algebra homomorphism into 2x2 matrices extending assign."""
@@ -130,14 +141,13 @@ def mat2_evaluate(f: NcPoly, assign: Mapping[int, Mat2]) -> Mat2:
 
 
 def substitution_basis(target: PairTarget) -> list[tuple[str, object]]:
-    """Labelled basis of the substitution space, in the fixed order."""
+    """Labelled basis of the substitution space, in the fixed order: e1..ek,
+    or the orthogonal basis H, E+F, E-F of sl_2 that phi maps e1, e2, e3 to."""
     if isinstance(target, CliffordPair):
-        return [
-            (f"e{i}", CliffordElt.basis_vector(i, target.form))
-            for i in range(1, target.k + 1)
-        ]
+        form = target.form
+        return [(f"e{i}", CliffordElt.basis_vector(i, form)) for i in range(1, form.k + 1)]
     if isinstance(target, MatrixPair):
-        return [("E", MAT_E), ("F", MAT_F), ("H", MAT_H)]
+        return [("H", _M2_BLADES[1]), ("E+F", _M2_BLADES[2]), ("E-F", _M2_BLADES[4])]
     raise TypeError(f"unknown pair target {target!r}")
 
 
@@ -167,90 +177,48 @@ def _integer_rows(ml: NcPoly) -> tuple[np.ndarray, list[int], int]:
     return words, coeffs, den
 
 
-def _clifford_component_witness(ml: NcPoly, pair: CliffordPair) -> Witness | None:
-    """First failing basis tuple of a multilinear polynomial, or None.
+def _first_failing_orbit(ml: NcPoly, k: int) -> tuple[list[int], Fraction] | None:
+    """First basis tuple of e1..ek at which a multilinear polynomial is
+    nonzero, with its signed sum over den; None if there is none.
 
     All words of ml are permutations of the same letters, so at a fixed
     basis tuple every term evaluates to a common (nonzero) q-monomial and
     blade times an integer sign; vanishing is a pure integer statement, and
     it is enough to test one tuple per orbit of basis relabellings.  The
-    value at the failing tuple is its signed sum over den times that
-    q-monomial and blade.
+    tuple holds one label per letter of ml in sorted order.
     """
     words, coeffs, den = _integer_rows(ml)
-    sums = exact_product([coeffs], clifford.orbit_sign_matrix(words, pair.k))[0]
+    sums = exact_product([coeffs], clifford.orbit_sign_matrix(words, k))[0]
     bad = np.flatnonzero(sums)
     if bad.size == 0:
         return None
     # an orbit's representative is its lexicographically first tuple, so the
     # first failing representative is the first failing tuple overall
-    rep = [int(i) for i in clifford.orbit_representatives(words.shape[1], pair.k)[bad[0]]]
-    exps = clifford.tuple_q_exponents(rep, pair.k)
-    coeff = prod((pair.form.q_coeff(i) for i, e in enumerate(exps, 1) for _ in range(e)),
-                 start=ParamPoly.const(pair.k, Fraction(int(sums[bad[0]]), den)))
-    return Witness(
-        assignment={g: f"e{rep[j]}" for j, g in enumerate(sorted(ml.generators()))},
-        value=CliffordElt(pair.form, {clifford.tuple_blade(rep): coeff}),
-        component=ml,
-    )
+    rep = [int(i) for i in clifford.orbit_representatives(words.shape[1], k)[bad[0]]]
+    return rep, Fraction(int(sums[bad[0]]), den)
 
 
-#: The M2 witness search takes basis tuples in blocks whose float64
-#: evaluation matrix holds about this many entries (1 MB).
-BLOCK_ENTRIES = 1 << 17
-
-
-@lru_cache(maxsize=16)
-def m2_product_table(n: int) -> np.ndarray:
-    """Entries (a, b, c, d) of the products of all 3^n sequences of E, F, H,
-    in ``itertools.product(range(3), repeat=n)`` order, by n batched 2x2
-    products.  E, F and H are signed partial permutation matrices, so every
-    product is one too and fits in int8."""
-    basis = np.array([m.entries() for m in (MAT_E, MAT_F, MAT_H)], dtype=np.int8)
-    table = np.eye(2, dtype=np.int8)[None]
-    for _ in range(n):
-        table = (table[:, None] @ basis.reshape(1, 3, 2, 2)).reshape(-1, 2, 2)
-    out = table.reshape(-1, 4)
-    out.setflags(write=False)
-    return out
-
-
-def m2_evaluation_matrix(words: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Entries of multilinear words evaluated at E, F, H basis tuples.
-
-    ``words`` is an int array of permutations of 1..n; the columns run over
-    (tuple, entry) for the tuples start..stop-1 of
-    ``itertools.product(range(3), repeat=n)``, four entries each.  Word w at
-    tuple t is the product with sequence index sum t[w_i] * 3^(n-1-i).
-    """
-    n = words.shape[1]
-    place = 3 ** np.arange(n - 1, -1, -1)
-    weight = np.empty(words.shape, dtype=np.int64)  # 3^(n-1-i) at letter w_i
-    weight[np.arange(len(words))[:, None], words - 1] = place
-    stop = 3**n if stop is None else min(stop, 3**n)
-    digits = np.arange(start, stop)[:, None] // place % 3
-    return m2_product_table(n)[weight @ digits.T].reshape(len(words), -1)
-
-
-def _matrix_component_witness(ml: NcPoly, target: MatrixPair) -> Witness | None:
-    """First basis tuple of E, F, H at which a multilinear polynomial is
-    nonzero, or None; the tuples are searched in blocks, in order."""
-    words, coeffs, den = _integer_rows(ml)
-    n = words.shape[1]
-    step = max(1, BLOCK_ENTRIES // (4 * len(words)))
-    for start in range(0, 3**n, step):
-        sums = exact_product([coeffs], m2_evaluation_matrix(words, start, start + step))[0]
-        bad = np.flatnonzero(sums)
-        if bad.size:
-            at = bad[0] // 4
-            t = np.unravel_index(start + at, (3,) * n)
-            basis = substitution_basis(target)
-            return Witness(
-                assignment={g: basis[t[j]][0] for j, g in enumerate(sorted(ml.generators()))},
-                value=Mat2(*(Fraction(int(s), den) for s in sums[4 * at:4 * at + 4])),
-                component=ml,
-            )
-    return None
+def _component_witness(ml: NcPoly, target: PairTarget) -> Witness | None:
+    """The first failing basis tuple of a multilinear polynomial as a
+    witness, with its value: the signed sum times the tuple's q-monomial and
+    blade, in C_k or, through phi, in M_2."""
+    form = target.form if isinstance(target, CliffordPair) else _M2_FORM
+    found = _first_failing_orbit(ml, form.k)
+    if found is None:
+        return None
+    rep, c = found
+    exps = clifford.tuple_q_exponents(rep, form.k)
+    blade = clifford.tuple_blade(rep)
+    if isinstance(target, CliffordPair):
+        coeff = prod((form.q_coeff(i) for i, e in enumerate(exps, 1) for _ in range(e)),
+                     start=ParamPoly.const(form.k, c))
+        value, labels = CliffordElt(form, {blade: coeff}), [f"e{i}" for i in rep]
+    else:
+        value = _M2_BLADES[blade] * prod((q**e for q, e in zip(form.values, exps)), start=c)
+        basis = substitution_basis(target)
+        labels = [basis[i - 1][0] for i in rep]
+    assignment = dict(zip(sorted(ml.generators()), labels))
+    return Witness(assignment=assignment, value=value, component=ml)
 
 
 def is_weak_identity(
@@ -268,17 +236,13 @@ def is_weak_identity(
         raise TypeError("expected an NcPoly")
     if f.is_zero():
         raise ValueError("the zero polynomial is not a meaningful candidate")
+    if not isinstance(target, (CliffordPair, MatrixPair)):
+        raise TypeError(f"unknown pair target {target!r}")
     for comp in multihomogeneous_components(f):
         n = len(next(iter(comp.terms)))  # before polarization makes n! words
         if n > max_degree:
             raise ValueError(f"degree {n} above cap {max_degree}")
-        ml = multilinearize(comp)
-        if isinstance(target, CliffordPair):
-            w = _clifford_component_witness(ml, target)
-        elif isinstance(target, MatrixPair):
-            w = _matrix_component_witness(ml, target)
-        else:
-            raise TypeError(f"unknown pair target {target!r}")
+        w = _component_witness(multilinearize(comp), target)
         if w is not None:
             return w
     return None

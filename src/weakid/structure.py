@@ -48,12 +48,12 @@ from .freealg import substitute_linear  # noqa: F401
 from .linalg import exact_rank  # noqa: F401
 from .linalg import certified_rank, exact_product, gram, rank_mod_p, solve_exact
 from .pairs import (
+    _M2_FORM,
     CliffordPair,
     MatrixPair,
     PairTarget,
     _integer_rows,
     is_weak_identity,
-    m2_evaluation_matrix,
 )
 
 Partition = tuple[int, ...]
@@ -306,8 +306,8 @@ class RankReport:
 
     rows x cols is the shape of the matrix ranked: for a consequence span,
     its rows after deduplication by the n! words; for an evaluation kernel,
-    the n! words by all k^n (or 4 * 3^n) basis substitutions, of which the
-    rank reads only orbit representatives (or nonzero columns).
+    the n! words by all k^n (or 4 * 3^n for M2) basis substitutions, of
+    which the rank reads only orbit representatives (k = 3 for M2).
     kernel_dim = n! - rank and quotient_dim = rank always hold.  The rank
     is exact over Q: linalg.certified_rank takes it modulo 2^31 - 1 (a lower
     bound) and proves the upper bound with a kernel basis lifted to integers
@@ -491,27 +491,27 @@ def evaluation_kernel(
     nonzero q-monomial keeps the rank, so each requested specialization of
     the form values (seeds) checks the factorization itself: a sample of
     sign matrix entries is compared with the products of basis vectors at
-    those values, multiplied out exactly.  For the M2 pair the columns are
-    the entries of the words at every basis tuple of E, F, H
-    (``m2_evaluation_matrix``); the nonzero ones are ranked.
+    those values, multiplied out exactly.  The M2 pair ranks the same sign
+    matrix at k = 3, as its n! x 4 * 3^n entry matrix is phi of that of
+    clifford:3 (see ``pairs``), and takes no seeds.
     """
     words = multilinear_words(n)
     nfact = len(words)
     if isinstance(target, CliffordPair):
-        k = target.k
-        forms = [_seed_form(k, primes) for primes in seeds]
-        signs = orbit_sign_matrix(words, k)
-        rank = certified_rank(gram(signs))
-        rng = random.Random(0)
-        for form in forms:
-            _spot_check_orbit_signs(words, signs, form, rng)
+        k, cols = target.k, target.k ** n
         desc = f"clifford k={k}" + (" (symbolic q)" if target.form.values is None else "")
-        return _rank_report(n, desc, nfact, k ** n, rank, seeds)
-    if isinstance(target, MatrixPair):
-        cols = m2_evaluation_matrix(np.array(words)).T
-        rank = certified_rank(cols[cols.any(axis=1)])
-        return _rank_report(n, "m2 (traceless substitution space)", nfact, 4 * 3 ** n, rank)
-    raise TypeError(f"unknown pair target {target!r}")
+    elif isinstance(target, MatrixPair):
+        k, cols, seeds = _M2_FORM.k, 4 * 3 ** n, ()
+        desc = "m2 (traceless substitution space)"
+    else:
+        raise TypeError(f"unknown pair target {target!r}")
+    forms = [_seed_form(k, primes) for primes in seeds]
+    signs = orbit_sign_matrix(words, k)
+    rank = certified_rank(gram(signs))
+    rng = random.Random(0)
+    for form in forms:
+        _spot_check_orbit_signs(words, signs, form, rng)
+    return _rank_report(n, desc, nfact, cols, rank, seeds)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakid import pairs
+from weakid import pairs, structure
 from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate, word_sign_vector
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
     NcPoly,
     commutator,
     jordan,
+    multilinear_words,
     multilinearize,
     standard_poly,
     star,
@@ -25,11 +27,11 @@ from weakid.pairs import (
     MAT_E,
     MAT_F,
     MAT_H,
+    MAT_I,
     CliffordPair,
     Mat2,
     MatrixPair,
     is_weak_identity,
-    m2_product_table,
     mat2_evaluate,
     substitution_basis,
 )
@@ -82,7 +84,7 @@ class TestSubstitutionBasis:
 
     def test_matrix(self):
         labels = [lab for lab, _ in substitution_basis(MatrixPair())]
-        assert labels == ["E", "F", "H"]
+        assert labels == ["H", "E+F", "E-F"]
 
 
 class TestIsWeakIdentity:
@@ -265,8 +267,9 @@ class TestCliffordWitnessValue:
 
 
 def oracle_matrix_witness(ml: NcPoly):
-    """First failing E, F, H tuple of a multilinear polynomial and its value,
-    by multiplying out Fraction 2x2 matrices word by word, tuple by tuple."""
+    """First failing tuple of the M2 substitution basis for a multilinear
+    polynomial and its value, by multiplying out Fraction 2x2 matrices word
+    by word, tuple by tuple."""
     letters = sorted(ml.generators())
     rename = {g: i + 1 for i, g in enumerate(letters)}
     relabeled = {tuple(rename[g] for g in w): c for w, c in ml.terms.items()}
@@ -293,17 +296,37 @@ def random_multilinear(rng: random.Random, n: int, coeff) -> NcPoly:
     return NcPoly({w: coeff() or 1 for w in words})
 
 
+@functools.cache
+def m2_identity_rows(n: int) -> np.ndarray:
+    """Integer rows over multilinear_words(n) spanning the degree-n
+    multilinear consequences of [x1^2,x2] and S(4), both weak identities of
+    (M_2, sl_2)."""
+    return structure._span_matrix(n, [SQUARE_COMMUTATOR, standard_poly(4)])
+
+
 class TestMatrixWitness:
-    def test_product_table_matches_mat2_products(self):
-        basis = [m for _, m in substitution_basis(MatrixPair())]
-        for n in range(5):
-            table = m2_product_table(n)
-            assert table.shape == (3**n, 4) and table.dtype == np.int8
-            for row, seq in zip(table, itertools.product(range(3), repeat=n)):
-                prod = Mat2(1, 0, 0, 1)
-                for i in seq:
-                    prod = prod * basis[i]
-                assert row.tolist() == list(prod.entries())
+    def test_blade_table_is_phi(self):
+        """phi sends e1, e2, e3 to H, E+F, E-F, which square to q_i I and
+        anticommute; the blade table holds their products in increasing
+        order, so it is phi of the basis blades."""
+        h = [m for _, m in substitution_basis(MatrixPair())]
+        assert h == [MAT_H, MAT_E + MAT_F, MAT_E - MAT_F]
+        q = pairs._M2_FORM.values
+        assert q == (1, 1, -1)
+        for i in range(3):
+            assert h[i] * h[i] == q[i] * MAT_I
+            for j in range(i):
+                assert h[i] * h[j] == -(h[j] * h[i])
+        assert len(pairs._M2_BLADES) == 8
+        for blade, want in enumerate(pairs._M2_BLADES):
+            prod = MAT_I
+            for i in range(3):
+                if blade >> i & 1:
+                    prod = prod * h[i]
+            assert want == prod
+        # 1, h1h2, h1h3, h2h3, h1h2h3
+        assert [pairs._M2_BLADES[b] for b in (0, 3, 5, 6, 7)] == [
+            MAT_I, MAT_E - MAT_F, MAT_E + MAT_F, -MAT_H, -MAT_I]
 
     def check_against_oracle(self, f: NcPoly) -> bool:
         want = oracle_matrix_witness(f)
@@ -313,6 +336,8 @@ class TestMatrixWitness:
             return False
         assert (w.assignment, w.value) == want
         assert str(w.value) == str(want[1])
+        basis = dict(substitution_basis(MatrixPair()))
+        assert mat2_evaluate(f, {g: basis[label] for g, label in w.assignment.items()}) == w.value
         return True
 
     def test_fraction_coefficients(self):
@@ -332,19 +357,48 @@ class TestMatrixWitness:
         # a scaled identity stays an identity on the Python-int path
         assert is_weak_identity(standard_poly(4) * 2**70, MatrixPair()) is None
 
-    def test_failing_tuple_in_a_later_block(self, monkeypatch):
+    def test_failing_tuple_after_passing_ones(self):
         x4 = NcPoly.gen(4)
-        f = standard_poly(3) * x4  # first failing tuple (E, F, H, E), index 15
+        f = standard_poly(3) * x4  # first failing tuple (H, E+F, E-F, H), index 15
         want = oracle_matrix_witness(f)
-        assert want[0] == {1: "E", 2: "F", 3: "H", 4: "E"}
+        assert want[0] == {1: "H", 2: "E+F", 3: "E-F", 4: "H"}
+        assert self.check_against_oracle(f)
+        # each label twice: the value carries q3 = -1 from contracting E-F
+        s3 = NcPoly({tuple(g + 3 for g in w): c for w, c in standard_poly(3).terms.items()})
+        g = standard_poly(3) * s3
+        assert oracle_matrix_witness(g)[0] == {1: "H", 2: "E+F", 3: "E-F", 4: "H", 5: "E+F",
+                                               6: "E-F"}
+        assert self.check_against_oracle(g)
         rng = random.Random(43)
         coeff = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2))  # noqa: E731
-        cases = [random_multilinear(rng, rng.randint(2, 5), coeff) for _ in range(20)]
-        for entries in (4, 8, 12, 4 * 24 * 2):  # 1, 2, 3 tuples per block; 2 for f
-            monkeypatch.setattr(pairs, "BLOCK_ENTRIES", entries)
-            assert self.check_against_oracle(f)
-            for g in cases:
-                self.check_against_oracle(g)
+        for _ in range(20):
+            self.check_against_oracle(random_multilinear(rng, rng.randint(2, 5), coeff))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_identities_and_perturbations_match_the_oracle(self, data):
+        """A rational combination of consequence rows of [x1^2,x2] and S(4)
+        is an M2 identity; with one coefficient perturbed it mostly is not.
+        Both verdicts, witnesses and values are the oracle's."""
+        fraction = st.fractions(-5, 5, max_denominator=6)
+        n = data.draw(st.sampled_from((4, 5)), label="n")
+        rows = m2_identity_rows(n)
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4))
+        letters = sorted(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n,
+                                            unique=True), label="letters"))
+        words = [tuple(letters[g - 1] for g in w) for w in multilinear_words(n)]
+        coeffs = [Fraction(0)] * len(words)
+        for i in picks:
+            c = data.draw(fraction, label="coefficient")
+            coeffs = [a + c * int(b) for a, b in zip(coeffs, rows[i])]
+        f = NcPoly({w: c for w, c in zip(words, coeffs) if c})
+        if not f.is_zero():
+            assert not self.check_against_oracle(f)
+        at = data.draw(st.integers(0, len(words) - 1), label="perturbed word")
+        bump = data.draw(fraction.filter(bool), label="perturbation")
+        g = f + bump * NcPoly.monomial(words[at])
+        if not g.is_zero():
+            self.check_against_oracle(g)
 
 
 class TestBasisSufficiency:

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -373,6 +374,22 @@ class TestCli:
     def test_standard(self, capsys):
         assert main(["standard", "--n", "2"]) == 0
         assert capsys.readouterr().out.strip() == "x1*x2 - x2*x1"
+
+    def test_standard_degree_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
+        assert main(["standard", "--n", "8"]) == 2
+        assert capsys.readouterr().err == "error: degree 8 above cap 7\n"
+        # S(12) would be 479,001,600 words; the cap refuses it first
+        tracemalloc.start()
+        try:
+            assert main(["--max-degree", "11", "standard", "--n", "12"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert main(["--max-degree", "8", "standard", "--n", "8"]) == 0
+        renamed = NcPoly({tuple(2 * i - 1 for i in w): c for w, c in standard_poly(8).terms.items()})
+        assert capsys.readouterr().out == format_expr(renamed) + "\n"
 
     def test_diagrams(self, capsys):
         assert main(["diagrams", "min", "2,1;2,2;3,1"]) == 0

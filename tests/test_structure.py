@@ -430,11 +430,13 @@ class TestEvaluationKernel:
         assert dims == sorted(dims)
         assert dims[-1] == dims[-2] == involutions(n)
 
-    @pytest.mark.parametrize("n, rank", [(1, 1), (2, 2), (3, 4), (4, 9), (5, 21), (6, 51)])
+    @pytest.mark.parametrize("n, rank", [(1, 1), (2, 2), (3, 4), (4, 9), (5, 21), (6, 51),
+                                         (7, 127)])
     def test_matrix_pair_ranks(self, n, rank):
         rep = evaluation_kernel(n, MatrixPair())
         assert (rep.rank, rep.kernel_dim) == (rank, math.factorial(n) - rank)
         assert (rep.rows, rep.cols) == (math.factorial(n), 4 * 3**n)
+        assert rep.rank == evaluation_kernel(n, CliffordPair.symbolic(3)).rank
 
     def test_matrix_pair(self):
         rep = evaluation_kernel(4, MatrixPair())
