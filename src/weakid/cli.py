@@ -419,8 +419,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        max_degree = _env_max_degree()  # WID_MAX_DEGREE as of this call
+    except ValueError:
+        print("error: WID_MAX_DEGREE must be an integer", file=sys.stderr)
+        return 2
     ap = _parser()
-    ap.set_defaults(max_degree=_env_max_degree())  # WID_MAX_DEGREE as of this call
+    ap.set_defaults(max_degree=max_degree)
     args = ap.parse_args(_dash_expression_last(list(sys.argv[1:] if argv is None else argv)))
     try:
         args.seeds = _parse_seeds(args.seeds)

@@ -143,6 +143,13 @@ class NcPoly:
             return NcPoly._from_terms({w: c * s for w, c in self.terms.items()})
         if not isinstance(other, NcPoly):
             return NotImplemented
+        # a factor that is one word with coefficient 1 only extends the
+        # other's words: the general product below, without its Fraction
+        # products (y * S_n, S_n * y, d * S_n * e)
+        if (w2 := _unit_word(other)) is not None:
+            return NcPoly._from_terms({w1 + w2: c1 for w1, c1 in self.terms.items()})
+        if (w1 := _unit_word(self)) is not None:
+            return NcPoly._from_terms({w1 + w2: c2 for w2, c2 in other.terms.items()})
         out: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -190,6 +197,15 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"
+
+
+def _unit_word(f: NcPoly) -> Word | None:
+    """The word of f when f is that one word with coefficient 1, else None."""
+    if len(f.terms) == 1:
+        ((w, c),) = f.terms.items()
+        if c == 1:
+            return w
+    return None
 
 
 def commutator(f: NcPoly, g: NcPoly) -> NcPoly:

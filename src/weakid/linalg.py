@@ -20,6 +20,8 @@ PRIME2 = 2**31 - 19
 
 #: Rows per block: of a pivot step, of a reduction modulo p, of a product.
 BLOCK_ROWS = 128
+#: Entries per block of the large operand of a product with few rows.
+BLOCK_ENTRIES = 1 << 16
 #: Bound on the entries of a lifted kernel vector, so that they fit in int64.
 LIFT_LIMIT = 1 << 62
 
@@ -216,9 +218,21 @@ def _lift(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 def exact_product(a, b) -> np.ndarray:
     """Exact ``a @ b`` for integer matrices, as int64 or Python ints (object),
-    in the tier of _product_dtype; a is converted one row block at a time."""
+    in the tier of _product_dtype.  With BLOCK_ROWS rows or more, a is
+    converted one row block at a time and b once; with fewer (a coefficient
+    row against a sign matrix), b is converted BLOCK_ENTRIES entries of its
+    rows at a time and the partial products are summed in the tier, whose
+    bound holds for every partial sum."""
     a, b = _integer_matrix(a), _integer_matrix(b)
     dtype = _product_dtype(a, b)
+    if a.shape[0] < BLOCK_ROWS:
+        a = a.astype(dtype)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
+        step = max(1, BLOCK_ENTRIES // max(1, b.shape[1]))
+        for start in range(0, b.shape[0], step):
+            inner = slice(start, start + step)
+            out += a[:, inner] @ b[inner].astype(dtype)
+        return out if dtype is object else out.astype(np.int64, copy=False)
     out = np.empty((a.shape[0], b.shape[1]), dtype=object if dtype is object else np.int64)
     b = b.astype(dtype)
     for rows in _row_blocks(a):

@@ -31,7 +31,7 @@ from .freealg import (
     multihomogeneous_components,
     multilinearize,
 )
-from .linalg import exact_product
+from .linalg import _integer_matrix, exact_product
 from .scalars import Coeff, ParamPoly
 
 
@@ -177,6 +177,10 @@ def _integer_rows(ml: NcPoly) -> tuple[np.ndarray, list[int], int]:
     return words, coeffs, den
 
 
+#: Signs per block of the orbit search: words times representatives.
+ORBIT_BLOCK_ENTRIES = 1 << 22
+
+
 def _first_failing_orbit(ml: NcPoly, k: int) -> tuple[list[int], Fraction] | None:
     """First basis tuple of e1..ek at which a multilinear polynomial is
     nonzero, with its signed sum over den; None if there is none.
@@ -185,17 +189,23 @@ def _first_failing_orbit(ml: NcPoly, k: int) -> tuple[list[int], Fraction] | Non
     basis tuple every term evaluates to a common (nonzero) q-monomial and
     blade times an integer sign; vanishing is a pure integer statement, and
     it is enough to test one tuple per orbit of basis relabellings.  The
-    tuple holds one label per letter of ml in sorted order.
+    tuple holds one label per letter of ml in sorted order.  The orbits are
+    summed a block of ORBIT_BLOCK_ENTRIES signs at a time, and the search
+    stops at the first block with a nonzero sum.
     """
     words, coeffs, den = _integer_rows(ml)
-    sums = exact_product([coeffs], clifford.orbit_sign_matrix(words, k))[0]
-    bad = np.flatnonzero(sums)
-    if bad.size == 0:
-        return None
-    # an orbit's representative is its lexicographically first tuple, so the
-    # first failing representative is the first failing tuple overall
-    rep = [int(i) for i in clifford.orbit_representatives(words.shape[1], k)[bad[0]]]
-    return rep, Fraction(int(sums[bad[0]]), den)
+    row = _integer_matrix([coeffs])  # converted once, not once per block
+    step = max(1, ORBIT_BLOCK_ENTRIES // len(words))
+    for block, signs in enumerate(clifford.orbit_sign_blocks(words, k, step)):
+        sums = exact_product(row, signs)[0]
+        bad = np.flatnonzero(sums)
+        if bad.size:
+            # an orbit's representative is its lexicographically first tuple,
+            # and the blocks are in that order, so the first failing
+            # representative is the first failing tuple overall
+            rep = clifford.orbit_representatives(words.shape[1], k)[block * step + bad[0]]
+            return [int(i) for i in rep], Fraction(int(sums[bad[0]]), den)
+    return None
 
 
 def _component_witness(ml: NcPoly, target: PairTarget) -> Witness | None:

@@ -758,8 +758,10 @@ def _solve_modulo_identities(
         words, coeffs, den = _integer_rows(ml)
         columns.append(exact_product([coeffs], orbit_sign_matrix(words, len(letters)))[0].tolist())
         dens.append(den)
-    rows = [eq[1:] for eq in zip(*columns)]
-    z = solve_exact(rows, columns[0])
+    # one equation per representative, most of them repeated: the distinct
+    # ones span the same rows, so they have the same solution
+    equations = list(dict.fromkeys(zip(*columns)))
+    z = solve_exact([eq[1:] for eq in equations], [eq[0] for eq in equations])
     if z is None:
         return None
     return [zj * den / dens[0] for zj, den in zip(z, dens[1:])]

@@ -281,9 +281,25 @@ class TestOrbitSigns:
                 assert np.array_equal(orbit, full[:, flat])
 
     def test_cached_pair_masks_read_only(self):
-        for mask in clifford._orbit_pair_masks(4, 3):
+        before = [mask.copy() for mask in clifford._orbit_pair_masks(4, 3)]
+        words = multilinear_words(4)
+        orbit_sign_matrix(words, 3)
+        for block in clifford.orbit_sign_blocks(words, 3, 2):
+            block[:] = 0  # a block is the caller's own array
+        for mask, old in zip(clifford._orbit_pair_masks(4, 3), before):
+            assert np.array_equal(mask, old)
             with pytest.raises(ValueError):
                 mask[0] = 0
+
+    def test_blocks_concatenate_to_the_matrix(self):
+        for n in range(1, 7):
+            for k in range(1, 6):
+                words = multilinear_words(n)
+                whole = orbit_sign_matrix(words, k)
+                for step in (1, 3, whole.shape[1]):
+                    blocks = list(clifford.orbit_sign_blocks(words, k, step))
+                    assert all(b.dtype == np.int8 and b.shape[1] == step for b in blocks[:-1])
+                    assert np.array_equal(np.hstack(blocks), whole)
 
     def test_columns_match_full_table_in_mixed_order_and_after_eviction(self):
         # 36 (n, k) entries in shuffled order, twice: more than the 32 the

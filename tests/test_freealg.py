@@ -76,6 +76,25 @@ class TestNcPolyRing:
         assert (f + g) * h == f * h + g * h
 
 
+def general_product(f: NcPoly, g: NcPoly) -> NcPoly:
+    """f * g term by term, as the product of two polynomials of any shape."""
+    out = {}
+    for w1, c1 in f.terms.items():
+        for w2, c2 in g.terms.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return NcPoly(out)
+
+
+class TestProductWithOneWord:
+    @given(small_polys, st.lists(st.integers(1, 3), max_size=3).map(tuple),
+           st.sampled_from([1, Fraction(1), 2, Fraction(-1, 3)]))
+    def test_equals_the_general_product(self, f, word, c):
+        m = NcPoly.monomial(word, c)
+        for got, want in ((f * m, general_product(f, m)), (m * f, general_product(m, f))):
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert_clean(got)
+
+
 def assert_clean(p: NcPoly):
     """The NcPoly invariant: tuple-of-positive-int keys, nonzero Fraction
     values, and equal to the polynomial the public constructor makes."""

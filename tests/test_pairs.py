@@ -1,16 +1,19 @@
 import functools
+import importlib
 import itertools
+import json
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakid import pairs, structure
+from weakid import cli, clifford, pairs, structure
 from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate, word_sign_vector
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
@@ -235,6 +238,45 @@ class TestOrbitWitness:
         assert (plain is None) == (scaled is None)
         if plain is not None:
             assert plain.assignment == scaled.assignment
+
+
+class TestStreamedOrbitSearch:
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_decide_plan_for_any_block_size(self, capsys, monkeypatch, step):
+        """Every check of the benchmark's decide plan gives the same verdict
+        and witness with 1 or 3 orbit representatives per block."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        items = importlib.import_module("workloads").make_plan("decide", 1)
+
+        def outcomes():
+            got = []
+            for item in items:
+                code = cli.main(["--json", "check", "--pair", item["pair"], item["expr"]])
+                got.append((code, json.loads(capsys.readouterr().out)["outcome"]))
+            return got
+
+        want = outcomes()
+        assert [code for code, _ in want] == [0 if item["holds"] else 1 for item in items]
+        real, blocks = clifford.orbit_sign_blocks, []
+
+        def fixed_step(words, k, _):
+            for block in real(words, k, step):
+                blocks.append(block.shape[1])
+                yield block
+
+        monkeypatch.setattr(clifford, "orbit_sign_blocks", fixed_step)
+        assert outcomes() == want
+        assert set(blocks) <= {1, 2, 3} and len(blocks) > 10 * len(items)
+
+    @pytest.mark.parametrize("entries", [1, 3 * 6, pairs.ORBIT_BLOCK_ENTRIES])
+    def test_witness_in_a_later_block(self, monkeypatch, entries):
+        # S(3) * x4 has 6 words; it first fails at the 12th of the 14
+        # representatives (1, 2, 3, 1): in block 12, 4 or 1 of 1, 3 or all
+        monkeypatch.setattr(pairs, "ORBIT_BLOCK_ENTRIES", entries)
+        f = standard_poly(3) * NcPoly.gen(4)
+        w = is_weak_identity(f, MatrixPair())
+        assert w.assignment == {1: "H", 2: "E+F", 3: "E-F", 4: "H"}
+        assert w.value == -6 * MAT_H
 
 
 class TestCliffordWitnessValue:

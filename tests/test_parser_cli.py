@@ -419,6 +419,16 @@ class TestCli:
         assert args.max_degree == 3
         capsys.readouterr()
 
+    def test_max_degree_env_not_an_integer_exit_2(self, capsys, monkeypatch):
+        # exit 1 would read as "fails"; a bad setting is a usage error
+        monkeypatch.setenv("WID_MAX_DEGREE", "abc")
+        for argv in (["check", "--pair", "clifford:2", "x1"],
+                     ["--max-degree", "5", "check", "--pair", "clifford:2", "x1"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: WID_MAX_DEGREE must be an integer\n"
+
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []
 

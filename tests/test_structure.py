@@ -167,7 +167,7 @@ class TestLemma2:
 
     def test_against_evaluation(self):
         # recursion-free cross-check by solving the evaluation linear system
-        for n in range(2, 5):
+        for n in range(2, 7):
             for k in range(1, n):
                 co = lemma2_coeffs(n, k)
                 assert lemma2_coeffs_by_evaluation(n, k) == (co.alpha, co.beta)
@@ -570,6 +570,22 @@ class TestTheorem1AndCorollary1:
             theorem1_check(2)
 
 
+class TestSolveModuloIdentities:
+    def test_inconsistent_after_dropping_repeated_equations(self, monkeypatch):
+        # x1x2x3 = c * x3x2x1 needs c = 1 at (e1, e1, e1), c = -1 at (e1, e2, e3)
+        sizes = []
+
+        def recorded(rows, rhs):
+            sizes.append(len(rows))
+            return linalg.solve_exact(rows, rhs)
+
+        monkeypatch.setattr(structure, "solve_exact", recorded)
+        lhs, cand = NcPoly.monomial((1, 2, 3)), NcPoly.monomial((3, 2, 1))
+        assert structure._solve_modulo_identities(lhs, [cand]) is None
+        assert sizes == [3]  # 5 representatives, 3 distinct equations
+        assert structure._solve_modulo_identities(lhs + cand, [lhs, cand]) == [1, 1]
+
+
 class TestFactorThroughStandard:
     def test_empty_interleaving(self):
         fac = factor_through_standard(2, [()])
@@ -835,6 +851,26 @@ class TestExactProduct:
         got = linalg.exact_product(a, b)
         assert got.dtype in (np.int64, object) and got.shape == (len(a), b.shape[1])
         assert got.tolist() == python_product(a.tolist(), b.tolist(), b.shape[1])
+
+    @pytest.mark.parametrize("entry, tier", [
+        (2**50 - 1, np.float64),  # column sums up to 2^53 - 8
+        (2**50 + 1, np.int64),  # up to 2^53 + 8
+        (2**58 - 2**8, np.int64),  # up to 2^61 - 2^11, exact in float64 too
+        (2**58 + 2**8, object),  # up to 2^61 + 2^11
+        (2**64, object),  # past int64
+    ])
+    def test_one_row_summed_over_inner_blocks(self, monkeypatch, entry, tier):
+        # two rows of b per inner block, so four partial sums per column
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 6)
+        a = np.array([[entry] * 8])
+        b = np.array([[1] * 8, [1, -1] * 4, [1] * 4 + [-1] * 4], dtype=np.int64).T
+        assert linalg._product_dtype(a, b) is tier
+        got = linalg.exact_product(a, b)
+        assert got.dtype == (object if tier is object else np.int64)
+        assert got.tolist() == python_product(a.tolist(), b.tolist(), 3) == [[8 * entry, 0, 0]]
+        a[0, 1:] -= 1  # uneven partial sums
+        b[0] = -1
+        assert linalg.exact_product(a, b).tolist() == python_product(a.tolist(), b.tolist(), 3)
 
     @pytest.mark.parametrize("block_rows", [1, 3])
     def test_any_row_block_size(self, monkeypatch, block_rows):
