@@ -107,14 +107,6 @@ def _remap(f: NcPoly, mapping: dict[int, int]) -> NcPoly:
     return NcPoly._from_terms({tuple(mapping[i] for i in w): c for w, c in f.terms.items()})
 
 
-def _rank_report_dict(r: RankReport) -> dict:
-    return {**asdict(r), "seeds": [list(s) for s in r.seeds]}
-
-
-def _span_kernel_dict(r: SpanKernelReport) -> dict:
-    return {**asdict(r), "span": _rank_report_dict(r.span), "kernel": _rank_report_dict(r.kernel)}
-
-
 def _witness_dict(w: Witness) -> dict:
     # the value in full: lift Python's cap on int-to-str digits while printing
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -180,14 +172,14 @@ def _cmd_check(args):
 
 def _cmd_dim(args):
     rep = structure.evaluation_kernel(args.n, _parse_pair(args.pair), seeds=args.seeds)
-    return {"n": args.n, "pair": args.pair}, _rank_report_dict(rep), _rank_report_lines(rep), 0
+    return {"n": args.n, "pair": args.pair}, asdict(rep), _rank_report_lines(rep), 0
 
 
 def _cmd_span(args):
     gens = [parse_poly(g, max_degree=args.max_degree) for g in args.gens.split(";")]
     rep = structure.consequence_span_dim(args.n, gens)
     # the rank is the dimension of the span; P_n / span has dimension n! - rank
-    outcome = _rank_report_dict(rep)
+    outcome = asdict(rep)
     del outcome["kernel_dim"]
     outcome.update(span_dim=rep.rank, quotient_dim=rep.kernel_dim)
     dims = {"span dim": rep.rank, "quotient dim": rep.kernel_dim}
@@ -198,7 +190,7 @@ def _cmd_theorem1(args):
     rep = structure.theorem1_check(args.n, seeds=args.seeds)
     return (
         {"n": args.n},
-        _span_kernel_dict(rep),
+        asdict(rep),
         _span_kernel_lines(rep, f"generator spans all identities at degree {args.n}"),
         0 if rep.ok else 1,
     )
@@ -208,7 +200,7 @@ def _cmd_corollary1(args):
     rep = structure.corollary1_check(args.n, args.k, seeds=args.seeds)
     return (
         {"n": args.n, "k": args.k},
-        _span_kernel_dict(rep),
+        asdict(rep),
         _span_kernel_lines(
             rep, f"generator + S_{args.k + 1} span all identities at degree {args.n}, k={args.k}"
         ),

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,39 +40,42 @@ class FormParams:
                 raise ValueError("form values must be nonzero (non-degeneracy)")
             object.__setattr__(self, "values", vals)
 
-    def q_coeff(self, i: int) -> ParamPoly:
-        """q_i as a coefficient: the parameter itself, or its explicit value."""
-        if not 1 <= i <= self.k:
-            raise ValueError(f"index {i} out of range 1..{self.k}")
+    def monomial(self, c: Coeff, exps: Sequence[int]) -> ParamPoly:
+        """c times the product of q_i^exps[i-1]: symbolic, or at the values."""
         if self.values is None:
-            return ParamPoly.qvar(i, self.k)
-        return ParamPoly.const(self.k, self.values[i - 1])
+            return ParamPoly.monomial(self.k, exps, c)
+        return ParamPoly.const(self.k, prod((v ** e for v, e in zip(self.values, exps) if e),
+                                            start=Fraction(c)))
+
+
+def basis_product(labels: Sequence[int], k: int, blade: int = 0) -> tuple[int, tuple, int]:
+    """e_blade e_{l_1} ... e_{l_N} in C_k as (sign, q-exponents, blade).
+
+    The basis vectors are multiplied onto the blade one at a time: e_i moves
+    left past the higher vectors already in the blade (one sign each), then
+    contracts with e_i to q_i if the blade holds it.  The product is
+    sign * prod q_i^exps[i-1] * e_blade; the exponents and the blade depend
+    only on the multiset of labels and the starting blade.
+    """
+    sign, exps = 1, [0] * k
+    for i in labels:
+        if (blade >> i).bit_count() % 2:
+            sign = -sign
+        if blade >> (i - 1) & 1:
+            exps[i - 1] += 1
+        blade ^= 1 << (i - 1)
+    return sign, tuple(exps), blade
 
 
 def blade_mul(a: int, b: int, form: FormParams) -> tuple[ParamPoly, int]:
-    """Product of two basis blades: (coefficient, resulting blade).
-
-    The coefficient is (-1)^s times the product of q_i over contracted
-    indices, where s counts the transpositions needed to sort the
-    concatenated index sequence.
-    """
+    """Product of two basis blades: (coefficient, resulting blade), with
+    b's basis vectors multiplied onto a in increasing order."""
     limit = 1 << form.k
     if not (0 <= a < limit and 0 <= b < limit):
         raise ValueError(f"blade index out of range for k={form.k}")
-    sign = 1
-    acc = a
-    coeff = ParamPoly.const(form.k, 1)
-    for i in range(1, form.k + 1):
-        bit = 1 << (i - 1)
-        if not b & bit:
-            continue
-        # move e_i left past the accumulated indices greater than i
-        if (acc >> i).bit_count() % 2:
-            sign = -sign
-        if acc & bit:
-            coeff = coeff * form.q_coeff(i)
-        acc ^= bit
-    return coeff * Fraction(sign), acc
+    sign, exps, blade = basis_product([i for i in range(1, form.k + 1) if b >> (i - 1) & 1],
+                                      form.k, a)
+    return form.monomial(sign, exps), blade
 
 
 def blade_str(blade: int) -> str:
@@ -229,45 +233,20 @@ def evaluate(f: NcPoly, assign: Mapping[int, CliffordElt], form: FormParams) -> 
 # -- multilinear evaluation tables ---------------------------------------------
 #
 # For a sequence s in {1..k}^N of basis-vector indices the product
-# e_{s_1}...e_{s_N} equals sign(s) * (monomial in q) * blade(s), where the
-# q-monomial and the blade depend only on the multiset of s.  Multilinear
-# evaluation therefore reduces to integer sign arithmetic.  The full k^N
-# tables below are the reference that the orbit sign matrices further down
-# are tested against.
-
-
-def sequence_sign(seq: Sequence[int]) -> int:
-    """Sign of the basis product e_{s_1}...e_{s_N} relative to its sorted form."""
-    sign = 1
-    acc = 0
-    for i in seq:
-        if (acc >> i).bit_count() % 2:
-            sign = -sign
-        acc ^= 1 << (i - 1)
-    return sign
-
-
-def tuple_q_exponents(seq: Sequence[int], k: int) -> tuple[int, ...]:
-    """Exponent of q_i contributed by contractions: floor(count_i / 2)."""
-    counts = [0] * k
-    for i in seq:
-        counts[i - 1] += 1
-    return tuple(c // 2 for c in counts)
-
-
-def tuple_blade(seq: Sequence[int]) -> int:
-    blade = 0
-    for i in seq:
-        blade ^= 1 << (i - 1)
-    return blade
+# e_{s_1}...e_{s_N} is basis_product(s, k): a sign times a q-monomial and a
+# blade that depend only on the multiset of s.  Multilinear evaluation
+# therefore reduces to integer sign arithmetic.  The full k^N tables below
+# are the reference that the orbit sign matrices further down are tested
+# against.
 
 
 @lru_cache(maxsize=32)
 def sign_table(n: int, k: int) -> np.ndarray:
-    """Array of shape (k,)*n with entry [t_1-1,..,t_n-1] = sequence_sign(t)."""
+    """Array of shape (k,)*n with entry [t_1-1,..,t_n-1] the sign of
+    e_{t_1}...e_{t_n}."""
     flat = np.empty(k ** n, dtype=np.int8)
     for idx, seq in enumerate(itertools.product(range(1, k + 1), repeat=n)):
-        flat[idx] = sequence_sign(seq)
+        flat[idx] = basis_product(seq, k)[0]
     table = flat.reshape((k,) * n)
     table.setflags(write=False)
     return table
@@ -338,7 +317,7 @@ def orbit_sign_matrix(words: Sequence[Sequence[int]], k: int) -> np.ndarray:
     ``words`` are permutations of 1..n; entry [i, j] is the sign of
     e_{r_{w_1}}...e_{r_{w_n}} for word i and the j-th row r of
     ``orbit_representatives(n, k)``.  The sign is the parity of the strict
-    inversions of that label sequence (equal to ``sequence_sign``).  A pair
+    inversions of that label sequence (the sign of ``basis_product``).  A pair
     of letters g < h is an inversion when the word's order of g and h
     disagrees with the order of their labels; over GF(2) that count is
     [r_g < r_h] plus [g precedes h in w] * [r_g != r_h], summed over the

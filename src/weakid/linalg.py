@@ -109,6 +109,12 @@ def _integer_matrix(rows) -> np.ndarray:
     raise TypeError(f"expected an integer matrix, not an entry {bad!r}")
 
 
+def _signed_dtype(top: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -top..top (int8 for most
+    coefficient rows); object, for Python ints, beyond int64."""
+    return np.min_scalar_type(-top - 1)
+
+
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """The entries of an _integer_matrix modulo p < 2^31 as a fresh C-ordered
     int32 matrix, half the size of int64.  Reduced through int64 (or Python

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
-from typing import Mapping, Union
+from math import lcm
+from typing import ClassVar, Mapping, Union
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .freealg import (
     multihomogeneous_components,
     multilinearize,
 )
-from .linalg import _integer_matrix, exact_product
-from .scalars import Coeff, ParamPoly
+from .linalg import _signed_dtype, exact_product
+from .scalars import Coeff
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,9 @@ class CliffordPair:
 @dataclass(frozen=True)
 class MatrixPair:
     """The pair (M_2, sl_2): 2x2 matrices with the traceless subspace."""
+
+    #: The form at which (M_2, sl_2) is (C_3, V_3).
+    form: ClassVar[FormParams] = FormParams(3, (1, 1, -1))
 
 
 PairTarget = Union[CliffordPair, MatrixPair]
@@ -119,9 +122,8 @@ MAT_F = Mat2(0, 0, 1, 0)
 MAT_H = Mat2(1, 0, 0, -1)
 MAT_I = Mat2(1, 0, 0, 1)
 
-#: The form at which (M_2, sl_2) is (C_3, V_3), and phi of the blades of C_3
-#: by index: the products of h1 = H, h2 = E+F, h3 = E-F in increasing order.
-_M2_FORM = FormParams(3, (1, 1, -1))
+#: phi of the blades of C_3 by index: the products of h1 = H, h2 = E+F,
+#: h3 = E-F in increasing order.
 _M2_BLADES = (MAT_I, MAT_H, MAT_E + MAT_F, MAT_E - MAT_F,
               MAT_E - MAT_F, MAT_E + MAT_F, -MAT_H, -MAT_I)
 
@@ -194,7 +196,9 @@ def _first_failing_orbit(ml: NcPoly, k: int) -> tuple[list[int], Fraction] | Non
     stops at the first block with a nonzero sum.
     """
     words, coeffs, den = _integer_rows(ml)
-    row = _integer_matrix([coeffs])  # converted once, not once per block
+    # converted once, in a dtype narrow enough (int8 for most polynomials)
+    # that _product_dtype bounds each block's sums with no pass over the row
+    row = np.array([coeffs], dtype=_signed_dtype(max(map(abs, coeffs))))
     step = max(1, ORBIT_BLOCK_ENTRIES // len(words))
     for block, signs in enumerate(clifford.orbit_sign_blocks(words, k, step)):
         sums = exact_product(row, signs)[0]
@@ -212,19 +216,17 @@ def _component_witness(ml: NcPoly, target: PairTarget) -> Witness | None:
     """The first failing basis tuple of a multilinear polynomial as a
     witness, with its value: the signed sum times the tuple's q-monomial and
     blade, in C_k or, through phi, in M_2."""
-    form = target.form if isinstance(target, CliffordPair) else _M2_FORM
+    form = target.form
     found = _first_failing_orbit(ml, form.k)
     if found is None:
         return None
     rep, c = found
-    exps = clifford.tuple_q_exponents(rep, form.k)
-    blade = clifford.tuple_blade(rep)
+    _, exps, blade = clifford.basis_product(rep, form.k)
+    coeff = form.monomial(c, exps)
     if isinstance(target, CliffordPair):
-        coeff = prod((form.q_coeff(i) for i, e in enumerate(exps, 1) for _ in range(e)),
-                     start=ParamPoly.const(form.k, c))
         value, labels = CliffordElt(form, {blade: coeff}), [f"e{i}" for i in rep]
     else:
-        value = _M2_BLADES[blade] * prod((q**e for q, e in zip(form.values, exps)), start=c)
+        value = _M2_BLADES[blade] * coeff.constant_value()
         basis = substitution_basis(target)
         labels = [basis[i - 1][0] for i in rep]
     assignment = dict(zip(sorted(ml.generators()), labels))

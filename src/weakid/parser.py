@@ -186,45 +186,38 @@ def parse_expr(text: str) -> ExprAst:
     return node
 
 
-def degree_bound(ast: ExprAst) -> int:
-    """An upper bound for the degree of the AST's polynomial, without
-    expanding it (cancellation can only lower the degree)."""
+def _bounds(ast: ExprAst) -> tuple[int, int]:
+    """Upper bounds for the degree and the number of terms of the AST's
+    polynomial, in one walk and without expanding it (cancellation can only
+    lower either).  The term bound saturates at MAX_TERMS + 1; a subtree of
+    degree bound 0 is a single constant term."""
     tag = ast[0]
     if tag in ("num", "var"):
-        return int(tag == "var")
-    if tag == "sum":
-        return max(degree_bound(t) for _, t in ast[1])
-    if tag == "prod":
-        return sum(degree_bound(f) for f in ast[1])
+        return int(tag == "var"), 1
     if tag == "pow":
-        return ast[2] * degree_bound(ast[1])
-    if tag in ("comm", "jord"):
-        return degree_bound(ast[1]) + degree_bound(ast[2])
-    if tag == "std":
-        return ast[1]
-    raise ValueError(f"unknown AST node {tag!r}")
+        degree, terms = _bounds(ast[1])
+        degree, terms = ast[2] * degree, terms ** min(ast[2], 64)  # 2^64 is past the cap
+    elif tag == "std":
+        degree, terms = ast[1], factorial(min(ast[1], 20))  # 20! is past the cap
+    elif tag == "sum":
+        degrees, counts = zip(*(_bounds(t) for _, t in ast[1]))
+        degree, terms = max(degrees), sum(counts)
+    elif tag in ("prod", "comm", "jord"):
+        degrees, counts = zip(*map(_bounds, ast[1] if tag == "prod" else ast[1:]))
+        degree, terms = sum(degrees), prod(counts) * (1 if tag == "prod" else 2)
+    else:
+        raise ValueError(f"unknown AST node {tag!r}")
+    return degree, min(terms, MAX_TERMS + 1) if degree else 1
+
+
+def degree_bound(ast: ExprAst) -> int:
+    """The degree bound of ``_bounds``."""
+    return _bounds(ast)[0]
 
 
 def term_bound(ast: ExprAst) -> int:
-    """An upper bound for the number of terms of the AST's polynomial,
-    without expanding it, saturated at MAX_TERMS + 1.  A subtree of degree
-    bound 0 is a single constant term."""
-    tag = ast[0]
-    if tag in ("num", "var") or degree_bound(ast) == 0:
-        return 1
-    if tag == "sum":
-        bound = sum(term_bound(t) for _, t in ast[1])
-    elif tag == "prod":
-        bound = prod(term_bound(f) for f in ast[1])
-    elif tag == "pow":
-        bound = term_bound(ast[1]) ** min(ast[2], 64)  # 2^64 is past the cap
-    elif tag in ("comm", "jord"):
-        bound = 2 * term_bound(ast[1]) * term_bound(ast[2])
-    elif tag == "std":
-        bound = factorial(min(ast[1], 20))  # 20! is past the cap
-    else:
-        raise ValueError(f"unknown AST node {tag!r}")
-    return min(bound, MAX_TERMS + 1)
+    """The term bound of ``_bounds``, saturated at MAX_TERMS + 1."""
+    return _bounds(ast)[1]
 
 
 def lower_expr(ast: ExprAst) -> NcPoly:
@@ -275,10 +268,10 @@ def parse_poly(text: str, max_degree: int | None = None) -> NcPoly:
     before anything is expanded."""
     ast = parse_expr(text)
     if max_degree is not None:
-        bound = degree_bound(ast)
-        if bound > max_degree:
-            raise ValueError(f"expression degree can reach {bound}, above the cap {max_degree}")
-        if term_bound(ast) > MAX_TERMS:
+        degree, terms = _bounds(ast)
+        if degree > max_degree:
+            raise ValueError(f"expression degree can reach {degree}, above the cap {max_degree}")
+        if terms > MAX_TERMS:
             raise ValueError(f"expression can expand to more than {MAX_TERMS} terms")
     return lower_expr(ast)
 

@@ -20,12 +20,10 @@ import numpy as np
 
 from .clifford import (
     FormParams,
+    basis_product,
     blade_str,
     orbit_representatives,
     orbit_sign_matrix,
-    sequence_sign,
-    tuple_blade,
-    tuple_q_exponents,
 )
 # Unused here, but kept importable as structure.word_sign_vector: the
 # benchmark's traced run wraps this binding and counts its calls.
@@ -46,9 +44,8 @@ from .freealg import substitute_linear  # noqa: F401
 # exact_rank is unused here since every rank is certified; kept importable
 # as structure.exact_rank for the same traced run.
 from .linalg import exact_rank  # noqa: F401
-from .linalg import certified_rank, exact_product, gram, rank_mod_p, solve_exact
+from .linalg import _signed_dtype, certified_rank, exact_product, gram, rank_mod_p, solve_exact
 from .pairs import (
-    _M2_FORM,
     CliffordPair,
     MatrixPair,
     PairTarget,
@@ -115,7 +112,6 @@ def hook_dim(lam: Sequence[int]) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             hooks *= row - j + conj[j] - i - 1
-    assert factorial(n) % hooks == 0
     return factorial(n) // hooks
 
 
@@ -280,11 +276,8 @@ def lemma1_decompose(n: int) -> list[tuple[NcPoly, NcPoly]]:
     pairs = []
     for b in sorted(groups, key=word_key):
         a_poly = NcPoly._from_terms(groups[b])
-        if a_poly.is_zero():
-            continue
-        if any(len(w) == 0 for w in a_poly.terms):
-            raise ArithmeticError("left factor of zero degree produced")
-        pairs.append((a_poly, NcPoly.monomial(b)))
+        if not a_poly.is_zero():
+            pairs.append((a_poly, NcPoly.monomial(b)))
     return pairs
 
 
@@ -335,12 +328,6 @@ def _permutation_index(words: np.ndarray) -> np.ndarray:
     later_smaller = (words[:, None, :] < words[:, :, None]) & np.triu(np.ones((n, n), bool), 1)
     weights = np.array([factorial(n - 1 - i) for i in range(n)])
     return later_smaller.sum(axis=2) @ weights
-
-
-def _signed_dtype(top: int) -> np.dtype:
-    """The narrowest signed integer dtype that holds -top..top (int8 for most
-    generators); object, for Python ints, beyond int64."""
-    return np.min_scalar_type(-top - 1)
 
 
 def _span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
@@ -424,32 +411,25 @@ def _seed_form(k: int, primes: Sequence[int]) -> FormParams:
     return FormParams(k, tuple(primes[:k]))
 
 
-def _basis_product(labels: Sequence[int], values: Sequence[Fraction]) -> tuple[Fraction, int]:
-    """e_{l_1} ... e_{l_N} at explicit form values, as (coefficient, blade).
-
-    The basis vectors are multiplied onto the blade one at a time: e_i moves
-    left past the higher vectors already in the blade (one sign each), then
-    contracts with e_i (a factor q_i) if the blade holds it.
-    """
-    coeff, blade = Fraction(1), 0
-    for i in labels:
-        if (blade >> i).bit_count() % 2:
-            coeff = -coeff
-        if blade >> (i - 1) & 1:
-            coeff *= values[i - 1]
-        blade ^= 1 << (i - 1)
-    return coeff, blade
+def _relabelled_prediction(sign: int, rep: list[int], t: list[int], k: int) -> tuple:
+    """The orbit sign matrix's (sign, q-exponents, blade) for a word at the
+    tuple t, a relabelling of the representative rep where the word has the
+    given sign: eps * sign with the q-monomial and blade of t, where eps is
+    the common sign that the relabelling multiplies every word's sign by."""
+    eps, exps, blade = basis_product(t, k)
+    return eps * basis_product(rep, k)[0] * sign, exps, blade
 
 
 def _spot_check_orbit_signs(
     words: Sequence[Word], signs: np.ndarray, form: FormParams, rng: random.Random
 ) -> None:
     """Multiply out sampled (word, tuple) pairs at explicit form values and
-    compare with the orbit prediction eps * sign * q^e * blade.
+    compare with the orbit prediction.
 
     Each sampled tuple is its representative relabelled by a random
-    permutation of 1..k, so most samples are not representatives; eps is
-    the common sign that relabelling multiplies every word's sign by.
+    permutation of 1..k, so most samples are not representatives.  Both
+    sides are Fractions at the form values, with only the q_i that occur
+    multiplied in.
     """
     k = form.k
     reps = orbit_representatives(len(words[0]), k)
@@ -459,10 +439,10 @@ def _spot_check_orbit_signs(
         rep = [int(r) for r in reps[j]]
         relabel = rng.sample(range(1, k + 1), k)
         t = [relabel[r - 1] for r in rep]
-        eps = sequence_sign(t) * sequence_sign(rep)
-        q = prod(v ** e for v, e in zip(form.values, tuple_q_exponents(t, k)))
-        want = (eps * int(signs[i, j]) * q, tuple_blade(t))
-        got = _basis_product([t[g - 1] for g in words[i]], form.values)
+        terms = (_relabelled_prediction(int(signs[i, j]), rep, t, k),
+                 basis_product([t[g - 1] for g in words[i]], k))
+        want, got = [(prod((v ** e for v, e in zip(form.values, exps) if e), start=Fraction(s)), b)
+                     for s, exps, b in terms]
         if got != want:
             raise ArithmeticError(
                 f"word {words[i]} at basis tuple {tuple(t)} with form values "
@@ -498,13 +478,14 @@ def evaluation_kernel(
     words = multilinear_words(n)
     nfact = len(words)
     if isinstance(target, CliffordPair):
-        k, cols = target.k, target.k ** n
-        desc = f"clifford k={k}" + (" (symbolic q)" if target.form.values is None else "")
+        cols = target.k ** n
+        desc = f"clifford k={target.k}" + (" (symbolic q)" if target.form.values is None else "")
     elif isinstance(target, MatrixPair):
-        k, cols, seeds = _M2_FORM.k, 4 * 3 ** n, ()
+        cols, seeds = 4 * 3 ** n, ()
         desc = "m2 (traceless substitution space)"
     else:
         raise TypeError(f"unknown pair target {target!r}")
+    k = target.form.k
     forms = [_seed_form(k, primes) for primes in seeds]
     signs = orbit_sign_matrix(words, k)
     rank = certified_rank(gram(signs))
@@ -645,34 +626,27 @@ def interleaved_alternating_sum(n: int, ys: Sequence[Word]) -> NcPoly:
     return NcPoly(terms)
 
 
-def factor_through_standard(
-    n: int, ys: Sequence[Sequence[int]], variant: str | None = None
-) -> StandardFactorization:
+def factor_through_standard(n: int, ys: Sequence[Sequence[int]]) -> StandardFactorization:
     """Factor the interleaved alternating sum through S_n, modulo identities.
 
-    The variant is inferred from the interleaved letters: letters inside
-    {1..n} give a single right factor, letters above n give two-sided
-    monomial pairs.  Solved as an exact linear system in the multilinear
-    quotient; failure to solve raises ``Lemma 3 violated``.
+    The variant follows from the interleaved letters: letters inside
+    {1..n} (or none) give a single right factor, letters above n give
+    two-sided monomial pairs.  Solved as an exact linear system in the
+    multilinear quotient; failure to solve raises ``Lemma 3 violated``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     ys = tuple(tuple(y) for y in ys)
     letters = sorted({i for y in ys for i in y})
-    if letters and letters[0] >= 1 and letters[-1] <= n:
-        inferred = "right"
-    elif letters and letters[0] > n:
-        inferred = "two-sided"
-    elif not letters:
-        inferred = variant or "right"
+    if letters and letters[0] > n:
+        variant = "two-sided"
+    elif all(1 <= i <= n for i in letters):
+        variant = "right"
     else:
         raise ValueError(
             f"inconsistent variable usage: interleaved letters {letters} mix the "
             f"x-range 1..{n} with higher indices"
         )
-    if variant is not None and variant != inferred and letters:
-        raise ValueError(f"interleaved letters force variant {inferred!r}")
-    variant = inferred
 
     lhs = interleaved_alternating_sum(n, ys)
     sn = standard_poly(n)
@@ -735,9 +709,9 @@ def _solve_modulo_identities(
     """Coefficients c with lhs = sum c_j * candidates_j modulo the weak
     identities of the generic Clifford pair, or None if no solution exists.
 
-    All polynomials must share one multidegree; everything is polarized with
-    the same operator and evaluated at the orbit representatives of the
-    basis tuples of C_N, N the polarized degree.  At a fixed tuple all words
+    All polynomials must share one multidegree, so that polarizing each
+    gives the same N letters; they are evaluated at the orbit
+    representatives of the basis tuples of C_N.  At a fixed tuple all words
     share the same contraction monomial and blade, so each representative
     contributes one equation sum_j c_j s_j / den_j = s_0 / den_0 in the
     integer signed sums s_j of the polynomials over their denominators
@@ -749,14 +723,11 @@ def _solve_modulo_identities(
     for c in candidates:
         if multidegree(c) != md:
             raise ValueError("candidate multidegree does not match the left-hand side")
-    polys = [multilinearize(p) for p in [lhs, *candidates]]
-    letters = polys[0].generators()
     columns, dens = [], []
-    for ml in polys:
-        if ml.generators() != letters:
-            raise AssertionError("polarization produced mismatched variable sets")
+    for ml in map(multilinearize, [lhs, *candidates]):
         words, coeffs, den = _integer_rows(ml)
-        columns.append(exact_product([coeffs], orbit_sign_matrix(words, len(letters)))[0].tolist())
+        signs = orbit_sign_matrix(words, words.shape[1])
+        columns.append(exact_product([coeffs], signs)[0].tolist())
         dens.append(den)
     # one equation per representative, most of them repeated: the distinct
     # ones span the same rows, so they have the same solution

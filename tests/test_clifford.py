@@ -9,16 +9,14 @@ from weakid import clifford
 from weakid.clifford import (
     CliffordElt,
     FormParams,
+    basis_product,
     blade_mul,
     blade_str,
     embed_vector,
     evaluate,
     orbit_representatives,
     orbit_sign_matrix,
-    sequence_sign,
     sign_table,
-    tuple_blade,
-    tuple_q_exponents,
     word_sign_vector,
 )
 from weakid.freealg import NcPoly, commutator, multilinear_words, standard_poly
@@ -35,11 +33,14 @@ def basis(i, form=SYM3):
 class TestFormParams:
     def test_symbolic_default(self):
         assert SYM3.values is None
-        assert SYM3.q_coeff(2) == ParamPoly.qvar(2, 3)
+        assert SYM3.monomial(1, (0, 1, 0)) == ParamPoly.qvar(2, 3)
+        assert SYM3.monomial(-3, (2, 0, 1)) == ParamPoly.monomial(3, (2, 0, 1), -3)
 
     def test_explicit_values(self):
         f = FormParams(2, (1, Fraction(-1, 2)))
-        assert f.q_coeff(2) == ParamPoly.const(2, Fraction(-1, 2))
+        assert f.monomial(1, (0, 1)) == ParamPoly.const(2, Fraction(-1, 2))
+        assert f.monomial(Fraction(4, 3), (5, 3)) == ParamPoly.const(2, Fraction(-1, 6))
+        assert f.monomial(7, (0, 0)) == ParamPoly.const(2, 7)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -51,11 +52,19 @@ class TestFormParams:
 
 
 class TestBladeMul:
+    """basis_product, and blade_mul, which folds b's basis vectors onto a
+    through it."""
+
     def test_vector_square(self):
+        assert basis_product([1, 1], 3) == (1, (1, 0, 0), 0)
+        assert basis_product([3], 3, blade=0b100) == (1, (0, 0, 1), 0)
         c, b = blade_mul(0b1, 0b1, SYM3)
         assert b == 0 and c == ParamPoly.qvar(1, 3)
 
     def test_anticommute(self):
+        assert basis_product([1, 2], 3) == (1, (0, 0, 0), 0b11)
+        assert basis_product([2, 1], 3) == (-1, (0, 0, 0), 0b11)
+        assert basis_product([1], 3, blade=0b10) == (-1, (0, 0, 0), 0b11)
         c12, b12 = blade_mul(0b01, 0b10, SYM3)
         c21, b21 = blade_mul(0b10, 0b01, SYM3)
         assert b12 == b21 == 0b11
@@ -63,6 +72,7 @@ class TestBladeMul:
 
     def test_unit_blade(self):
         for b in range(8):
+            assert basis_product([], 3, blade=b) == (1, (0, 0, 0), b)
             assert blade_mul(0, b, SYM3) == (ParamPoly.const(3, 1), b)
             assert blade_mul(b, 0, SYM3) == (ParamPoly.const(3, 1), b)
 
@@ -191,8 +201,15 @@ class TestEvaluate:
         assert evaluate(f, {1: v, 2: w}, form).is_zero()
 
 
+def _strict_inversion_sign(seq):
+    """Reference sign of e_{s_1}...e_{s_N}: sorting the labels by adjacent
+    swaps flips the sign once per pair of distinct labels out of order."""
+    pairs = itertools.combinations(seq, 2)
+    return (-1) ** sum(a > b for a, b in pairs)
+
+
 class TestSignTables:
-    def test_sequence_sign_matches_blade_mul(self):
+    def test_basis_product_matches_blade_mul(self):
         form = FormParams(3)
         for n in range(1, 5):
             for seq in itertools.product(range(1, 4), repeat=n):
@@ -201,11 +218,14 @@ class TestSignTables:
                 for i in seq:
                     c, blade = blade_mul(blade, 1 << (i - 1), form)
                     coeff = coeff * c
-                # strip the q-monomial: the sign is the sole rational factor
-                q_exp = tuple_q_exponents(seq, 3)
-                expected_term = {q_exp: Fraction(sequence_sign(seq))}
-                assert coeff.terms == expected_term
-                assert blade == tuple_blade(seq)
+                sign, exps, want_blade = basis_product(seq, 3)
+                assert coeff.terms == {exps: Fraction(sign)}
+                assert blade == want_blade
+                # the multiset rule: a sign, floor(count_i / 2) contractions
+                # of e_i, and the labels of odd count
+                assert sign == _strict_inversion_sign(seq)
+                assert exps == tuple(seq.count(i) // 2 for i in (1, 2, 3))
+                assert blade == sum(1 << (i - 1) for i in (1, 2, 3) if seq.count(i) % 2)
 
     def test_sign_table_read_only(self):
         t = sign_table(2, 2)
@@ -221,7 +241,7 @@ class TestSignTables:
                     itertools.product(range(1, k + 1), repeat=n)
                 ):
                     seq = tuple(t[g - 1] for g in w)
-                    assert v[flat] == sequence_sign(seq)
+                    assert v[flat] == _strict_inversion_sign(seq)
 
     def test_identity_word_is_raw_table(self):
         n, k = 3, 2

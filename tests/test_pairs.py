@@ -279,6 +279,29 @@ class TestStreamedOrbitSearch:
         assert w.value == -6 * MAT_H
 
 
+    def test_row_is_narrow_and_never_summed_per_block(self, monkeypatch):
+        """The coefficient row of S(5) reaches every block's exact_product as
+        int8, so _product_dtype bounds the sums from the dtypes alone: no
+        abs-sum pass over the row, in none of the blocks."""
+        monkeypatch.setattr(pairs, "ORBIT_BLOCK_ENTRIES", 5 * 120)  # 41 reps, 9 blocks
+        rows, passes = [], []
+        real_product, real_abs = pairs.exact_product, np.abs
+
+        def product(a, b):
+            rows.append(a.dtype)
+            return real_product(a, b)
+
+        def counted_abs(x, *args, **kwargs):
+            passes.append(np.shape(x))
+            return real_abs(x, *args, **kwargs)
+
+        monkeypatch.setattr(pairs, "exact_product", product)
+        monkeypatch.setattr(np, "abs", counted_abs)
+        assert is_weak_identity(standard_poly(5), CliffordPair.symbolic(3)) is None
+        assert len(rows) == 9 and set(rows) == {np.dtype(np.int8)}
+        assert (1, 120) not in passes
+
+
 class TestCliffordWitnessValue:
     def test_value_equals_symbolic_evaluation(self):
         """The witness value built from the failing sum, q-monomial and blade
@@ -353,7 +376,7 @@ class TestMatrixWitness:
         order, so it is phi of the basis blades."""
         h = [m for _, m in substitution_basis(MatrixPair())]
         assert h == [MAT_H, MAT_E + MAT_F, MAT_E - MAT_F]
-        q = pairs._M2_FORM.values
+        q = MatrixPair().form.values
         assert q == (1, 1, -1)
         for i in range(3):
             assert h[i] * h[i] == q[i] * MAT_I

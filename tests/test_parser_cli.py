@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakid import cli
+from weakid import cli, parser
 from weakid.cli import Report, build_parser, main
 from weakid.freealg import NcPoly, commutator, jordan, standard_poly
 from weakid.parser import (
@@ -183,6 +183,15 @@ class TestTermBound:
         for _ in range(100):
             ast = parse_expr(random_expr(rng))
             assert len(lower_expr(ast).terms) <= term_bound(ast)
+
+    def test_one_walk_for_both_bounds(self, monkeypatch):
+        # parse_poly visits each node once for the degree and the term bound
+        # together: the 2 * 12 + 1 nodes of 12 nested commutators
+        brackets = "[" * 12 + "x1,x2]" + ",x3]" * 11
+        visits, real = [], parser._bounds
+        monkeypatch.setattr(parser, "_bounds", lambda ast: visits.append(ast) or real(ast))
+        assert parse_poly(brackets, max_degree=13).max_degree() == 13
+        assert len(visits) == 2 * 12 + 1
 
     def test_cap_applies_before_expansion(self):
         with pytest.raises(ValueError, match=f"more than {MAX_TERMS} terms"):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakid import linalg, structure
-from weakid.clifford import CliffordElt, FormParams, evaluate, orbit_sign_matrix
+from weakid.clifford import CliffordElt, FormParams, basis_product, evaluate, orbit_sign_matrix
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
     NcPoly,
@@ -493,14 +493,16 @@ class TestEvaluationKernel:
         with pytest.raises(ArithmeticError, match="orbit sign matrix predicts"):
             evaluation_kernel(3, CliffordPair.symbolic(3), seeds=DEFAULT_SEEDS[:1])
 
-    @pytest.mark.parametrize("name, wrong", [
-        ("tuple_q_exponents", lambda e: (e[0] + 1, *e[1:])),
-        ("tuple_blade", lambda blade: blade ^ 1),
+    @pytest.mark.parametrize("wrong", [
+        lambda sign, exps, blade: (sign, (exps[0] + 1, *exps[1:]), blade),
+        lambda sign, exps, blade: (sign, exps, blade ^ 1),
     ], ids=["q_exponent", "blade"])
-    def test_seed_spot_check_catches_a_wrong_prediction(self, monkeypatch, name, wrong):
-        # a prediction with one q-exponent too many, or the wrong blade
-        real = getattr(structure, name)
-        monkeypatch.setattr(structure, name, lambda *args: wrong(real(*args)))
+    def test_seed_spot_check_catches_a_wrong_prediction(self, monkeypatch, wrong):
+        # a prediction with one q-exponent too many, or the wrong blade; the
+        # evaluated side, basis_product of the word's image, is left alone
+        real = structure._relabelled_prediction
+        monkeypatch.setattr(structure, "_relabelled_prediction",
+                            lambda *args: wrong(*real(*args)))
         evaluation_kernel(3, CliffordPair.symbolic(3))
         with pytest.raises(ArithmeticError, match="orbit sign matrix predicts"):
             evaluation_kernel(3, CliffordPair.symbolic(3), seeds=DEFAULT_SEEDS[:1])
@@ -514,17 +516,26 @@ class TestEvaluationKernel:
 
     @given(st.data())
     def test_basis_product_equals_symbolic_evaluation(self, data):
-        # the spot check's fold against the CliffordElt algebra, at a random
-        # word, basis tuple and form values
-        k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 7))
+        # basis_product against the CliffordElt algebra, at a random starting
+        # blade, word, basis tuple and form (symbolic or explicit values)
+        k, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 7))
+        start = data.draw(st.integers(0, (1 << k) - 1))
         word = data.draw(st.permutations(range(1, n + 1)))
         t = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
         value = st.fractions(-5, 5, max_denominator=7).filter(bool)
-        form = FormParams(k, tuple(data.draw(st.lists(value, min_size=k, max_size=k))))
-        coeff, blade = structure._basis_product([t[g - 1] for g in word], form.values)
+        values = data.draw(st.none() | st.lists(value, min_size=k, max_size=k).map(tuple))
+        form = FormParams(k, values)
+        sign, exps, blade = basis_product([t[g - 1] for g in word], k, start)
         assign = {g: CliffordElt.basis_vector(t[g - 1], form) for g in range(1, n + 1)}
-        got = evaluate(NcPoly.monomial(tuple(word)), assign, form)
-        assert got == CliffordElt(form, {blade: coeff})
+        got = CliffordElt(form, {start: 1}) * evaluate(NcPoly.monomial(tuple(word)), assign, form)
+        assert got == CliffordElt(form, {blade: form.monomial(sign, exps)})
+        # and against the multiset rule, with no product of blades: sorting
+        # e_start's labels and the image by adjacent swaps of distinct labels
+        # gives the sign; each pair of equal labels contracts
+        labels = [i for i in range(1, k + 1) if start >> (i - 1) & 1] + [t[g - 1] for g in word]
+        assert sign == (-1) ** sum(a > b for a, b in itertools.combinations(labels, 2))
+        assert exps == tuple(labels.count(i) // 2 for i in range(1, k + 1))
+        assert blade == sum(1 << (i - 1) for i in range(1, k + 1) if labels.count(i) % 2)
 
     def test_gram_rank_equals_the_sign_matrix_rank(self):
         for n in range(1, 7):
