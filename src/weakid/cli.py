@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_env_max_degree(),
         help="degree cap for expressions and for standard (default 7); the rank "
-        "commands dim, span, theorem1 and corollary1 are capped at degree 7 regardless",
+        "commands dim and span are capped at degree 7 regardless, theorem1 and "
+        "corollary1 at degree 10",
     )
     ap.add_argument(
         "--seeds",

@@ -84,15 +84,6 @@ def exact_rank(rows: Iterable[Sequence]) -> int:
     return len(_pivot_rows(rows))
 
 
-def rank_mod_p(rows, p: int = PRIME) -> int:
-    """Rank over GF(p) of an integer matrix, for a prime p < 2^31.
-
-    A lower bound for the rank over Q, equal to it for all but finitely many
-    primes (those dividing every maximal nonzero minor).
-    """
-    return len(_echelon(_residues(_integer_matrix(rows), p), p, reduced=False))
-
-
 def _integer_matrix(rows) -> np.ndarray:
     """rows as a 2-d array whose products with int64 stay int64: a signed or
     narrow unsigned integer dtype, else Python ints (object), as for nested

@@ -16,9 +16,10 @@ value lies, so (M_2, sl_2) has the weak identities of (C_3, V_3) at that q.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 from typing import ClassVar, Mapping, Union
 
 import numpy as np
@@ -32,6 +33,7 @@ from .freealg import (
     multilinearize,
 )
 from .linalg import _signed_dtype, exact_product
+from .parser import MAX_TERMS
 from .scalars import Coeff
 
 
@@ -243,6 +245,13 @@ def is_weak_identity(
     at every tuple of substitution-space basis elements (valid by
     multilinearity).  The first nonzero evaluation, in the fixed enumeration
     order, is returned as a witness.
+
+    A component of degree above max_degree, or one whose polarization could
+    have more than parser.MAX_TERMS words (its terms times prod d_i! over
+    its multidegree), is refused before it is polarized.  A degree-n
+    component uses at most n basis labels, so on a symbolic clifford:k with
+    k > n it is decided as clifford:n: the same tuples, the same witness and
+    the same printed value, with no k-sized exponent vector.
     """
     if not isinstance(f, NcPoly):
         raise TypeError("expected an NcPoly")
@@ -251,10 +260,18 @@ def is_weak_identity(
     if not isinstance(target, (CliffordPair, MatrixPair)):
         raise TypeError(f"unknown pair target {target!r}")
     for comp in multihomogeneous_components(f):
-        n = len(next(iter(comp.terms)))  # before polarization makes n! words
+        first = next(iter(comp.terms))  # every word has the component's multidegree
+        n = len(first)  # before polarization makes n! words
         if n > max_degree:
             raise ValueError(f"degree {n} above cap {max_degree}")
-        w = _component_witness(multilinearize(comp), target)
+        words = len(comp.terms) * prod(map(factorial, Counter(first).values()))
+        if words > MAX_TERMS:
+            raise ValueError(f"polarizing a degree-{n} component can give {words} words, "
+                             f"above the cap {MAX_TERMS}")
+        pair = target
+        if isinstance(target, CliffordPair) and target.form.values is None and target.k > n:
+            pair = CliffordPair.symbolic(n)
+        w = _component_witness(multilinearize(comp), pair)
         if w is not None:
             return w
     return None

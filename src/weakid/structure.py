@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import symmetric
 from .clifford import (
     FormParams,
     basis_product,
@@ -29,6 +30,7 @@ from .clifford import (
 # benchmark's traced run wraps this binding and counts its calls.
 from .clifford import word_sign_vector  # noqa: F401
 from .freealg import (
+    DEFAULT_DEGREE_CAP,
     NcPoly,
     SQUARE_COMMUTATOR,
     Word,
@@ -44,7 +46,17 @@ from .freealg import substitute_linear  # noqa: F401
 # exact_rank is unused here since every rank is certified; kept importable
 # as structure.exact_rank for the same traced run.
 from .linalg import exact_rank  # noqa: F401
-from .linalg import _signed_dtype, certified_rank, exact_product, gram, rank_mod_p, solve_exact
+from .linalg import (
+    PRIME,
+    _echelon,
+    _int_row,
+    _pivot_rows,
+    _signed_dtype,
+    certified_rank,
+    exact_product,
+    gram,
+    solve_exact,
+)
 from .pairs import (
     CliffordPair,
     MatrixPair,
@@ -52,6 +64,7 @@ from .pairs import (
     _integer_rows,
     is_weak_identity,
 )
+from .scalars import ParamPoly
 
 Partition = tuple[int, ...]
 
@@ -300,15 +313,22 @@ class RankReport:
     rows x cols is the shape of the matrix ranked: for a consequence span,
     its rows after deduplication by the n! words; for an evaluation kernel,
     the n! words by all k^n (or 4 * 3^n for M2) basis substitutions, of
-    which the rank reads only orbit representatives (k = 3 for M2).
+    which the rank reads only orbit representatives (k = 3 for M2).  The
+    span of span_vs_kernel is ranked one partition lam of n at a time, in
+    blocks rho_lam(h_c) of f_lam x f_lam, one per generator and cut: there
+    cols is the sum of f_lam over lam, rows is cols times the number of
+    (generator, cut) pairs, and rank is the sum of f_lam times the rank of
+    each lam's stacked blocks (SpanKernelReport.isotypic).
     kernel_dim = n! - rank and quotient_dim = rank always hold.  The rank
     is exact over Q: linalg.certified_rank takes it modulo 2^31 - 1 (a lower
     bound) and proves the upper bound with a kernel basis lifted to integers
     and checked exactly, else ranks exactly.  A Clifford kernel is ranked
     through the Gram matrix of its orbit sign matrix, which has the same
-    rank.  A span rank of span_vs_kernel may instead meet the exact kernel
-    dimension modulo the prime.  seeds are the form values at which the
-    orbit sign matrix was spot-checked.
+    rank.  A span_vs_kernel rank may instead meet its bound modulo a prime,
+    and its kernel may come from those bounds (rows n!, cols k^n, no matrix
+    built).  seeds are the form values at which the orbit sign matrix was
+    spot-checked, or for a kernel from the bounds, at which each witness
+    was evaluated.
     """
 
     degree: int
@@ -496,8 +516,29 @@ def evaluation_kernel(
 
 
 @dataclass(frozen=True)
+class IsotypicRow:
+    """One partition lam of n in a span-versus-kernel comparison.
+
+    dim is f_lam, the dimension of the irreducible S_n-module S^lam.  rank
+    is the exact rank of the stacked blocks rho_lam(h_c), so the span's
+    lam-part has dimension dim * rank, and multiplicity = dim - rank is the
+    multiplicity of S^lam in P_n / span.  witnessed is [l(lam) <= k]: the
+    multiplicity of S^lam in P_n / K (K the weak identities) is at least
+    this, as the witness of the lam highest-weight vector shows.  With the
+    span inside K, the bounds meet when multiplicity == witnessed.
+    """
+
+    partition: Partition
+    dim: int
+    rank: int
+    multiplicity: int
+    witnessed: int
+
+
+@dataclass(frozen=True)
 class SpanKernelReport:
-    """Result of comparing a consequence span against an evaluation kernel."""
+    """Result of comparing a consequence span against an evaluation kernel,
+    with one IsotypicRow per partition of the degree in ``isotypic``."""
 
     ok: bool
     degree: int
@@ -505,6 +546,111 @@ class SpanKernelReport:
     kernel: RankReport
     containment_ok: bool
     predicted_quotient: int | None = None
+    isotypic: tuple[IsotypicRow, ...] = ()
+
+
+#: Degree cap of span_vs_kernel, theorem1_check and corollary1_check.
+ISOTYPIC_DEGREE_CAP = 10
+#: The prime of the per-partition ranks.  Any prime p >= n is valid: it
+#: divides no denominator of the seminormal form, so rank_p <= rank_Q.
+SEMINORMAL_PRIME = PRIME
+
+
+@dataclass(frozen=True)
+class _SpanGenerator:
+    """A generator g as the per-partition ranks see it: its multilinear
+    degree d, and the terms (permutation of 1..d, integer coefficient) of
+    its multilinearization, or None for the standard polynomial S_d, which
+    is never expanded; poly is g itself (None for S_d).  The row bases of
+    rho_mu(g) are kept per (mu, p) for the life of the object."""
+
+    degree: int
+    terms: tuple[tuple[Word, int], ...] | None
+    poly: NcPoly | None = None
+    _rows: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def rows(self, mu: Partition, p: int | None) -> np.ndarray:
+        """A basis of the row space of rho_mu(g), mu a partition of d: int32
+        residues modulo p, or integer rows for p None.  rho_mu(S_d) is d!
+        on the one-column shape and 0 on the others."""
+        if (mu, p) not in self._rows:
+            f, d = len(symmetric.standard_tableaux(mu)), self.degree
+            if self.terms is None:
+                block = np.full((f, f), factorial(d) if mu == (1,) * d else 0, dtype=np.int64)
+            else:
+                block = symmetric.rho_element(mu, self.terms, p)
+            if p is None:
+                rows = np.array(list(_pivot_rows(block.tolist()).values()), dtype=object)
+                self._rows[mu, p] = rows.reshape(-1, f)
+            else:
+                block = (block % p).astype(np.int32)
+                self._rows[mu, p] = block[:len(_echelon(block, p, reduced=False))]
+        return self._rows[mu, p]
+
+
+def _poly_generator(g: NcPoly) -> _SpanGenerator:
+    words, coeffs, _ = _integer_rows(multilinearize(g))
+    return _SpanGenerator(words.shape[1], tuple(zip(map(tuple, words.tolist()), coeffs)), g)
+
+
+def _holds(gen: _SpanGenerator, k: int) -> bool:
+    """Whether the generator is a weak identity of (C_k, V_k).  S_d for
+    d > k alternates in more vectors than V_k has dimensions, so it
+    vanishes there; for d <= k it is d! e_1...e_d at x_i -> e_i."""
+    if gen.poly is None:
+        return gen.degree > k
+    return is_weak_identity(gen.poly, CliffordPair.symbolic(k), max_degree=gen.degree) is None
+
+
+def _cut_blocks(lam: Partition, gen: _SpanGenerator, p: int | None):
+    """Row bases of rho_lam(h_c) for the cuts c = 0..n-d, one array each.
+
+    h_c is g in the letters c+1..c+d with the other letters in order around
+    it, so h_c = gamma_c h_0 gamma_c^-1 for the permutation gamma_c that
+    moves the letters 1..d to c+1..c+d, and rho(h_c) has the row space of
+    rho(h_0) rho(gamma_c^-1).  h_0 lies in QS_d, so rho_lam(h_0) is block
+    diagonal in the rho_mu(g) (symmetric.restriction_blocks), and
+    gamma_{c+1}^-1 = gamma_c^-1 s_{c+d} ... s_{c+1}."""
+    n, d = sum(lam), gen.degree
+    f = len(symmetric.standard_tableaux(lam))
+    parts = []
+    for start, mu in symmetric.restriction_blocks(lam, d):
+        rows = gen.rows(mu, p)
+        if len(rows):
+            block = np.zeros((len(rows), f), dtype=np.int64 if p is not None else object)
+            block[:, start:start + rows.shape[1]] = rows
+            parts.append(block)
+    if not parts:
+        return
+    x = np.vstack(parts)
+    for c in range(n - d + 1):
+        if c:
+            x = symmetric.right_multiply(x, lam, range(c + d - 1, c - 1, -1), p)
+        yield x
+
+
+def _block_rank(lam: Partition, gens: Sequence[_SpanGenerator], p: int | None) -> int:
+    """Rank of the stacked rho_lam(h_c) over every generator and cut:
+    modulo p (a lower bound for the rank over Q) in one row reduction, or
+    for p None exactly, the blocks in Fractions with each row scaled to
+    integers, by certified_rank."""
+    blocks = [x for gen in gens for x in _cut_blocks(lam, gen, p)]
+    if not blocks:
+        return 0
+    if p is None:
+        return certified_rank([_int_row(row) for x in blocks for row in x.tolist()])
+    return len(_echelon(np.vstack(blocks).astype(np.int32), p, reduced=False))
+
+
+def _witness_value(lam: Partition) -> ParamPoly:
+    """The coefficient of the value of lam's highest-weight vector
+    prod_j S_{c_j}(x_1..x_{c_j}) (c_j the column heights) at x_i -> e_i in
+    C_{l(lam)}.  Each factor is c_j! e_1...e_{c_j}, so the value is
+    prod c_j! times the product of the labels 1..c_1, 1..c_2, ...: a sign,
+    a q-monomial and a blade from basis_product, never zero."""
+    cols = conjugate_partition(lam)
+    sign, exps, _ = basis_product([i for c in cols for i in range(1, c + 1)], len(lam))
+    return ParamPoly.monomial(len(lam), exps, sign * prod(map(factorial, cols)))
 
 
 def span_vs_kernel(
@@ -515,30 +661,87 @@ def span_vs_kernel(
     seeds: tuple[tuple[int, ...], ...] = (),
 ) -> SpanKernelReport:
     """Compare the degree-n multilinear consequence span of the generators
-    with the multilinear weak identities of the generic k-dimensional
-    Clifford pair; the predicted quotient is the hook-length sum over
-    partitions of n with at most k rows.
+    with the multilinear weak identities K of the generic k-dimensional
+    Clifford pair, one partition of n at a time; the predicted quotient is
+    the hook-length sum over partitions of n with at most k rows."""
+    return _compare(n, k, [_poly_generator(g) for g in generators], target, seeds)
 
-    Containment is checked exactly, span rows times the orbit sign matrix.
-    When it holds, rank_p(span) <= rank_Q(span) <= n! - rank_Q(E), the
-    kernel dimension from the exact evaluation rank, so a rank modulo the
-    prime that reaches the kernel dimension is the exact span rank.
-    Otherwise (no containment, or an unlucky prime) the span rank comes
-    from certified_rank.
+
+def _compare(
+    n: int,
+    k: int,
+    gens: Sequence[_SpanGenerator],
+    target: str,
+    seeds: tuple[tuple[int, ...], ...],
+) -> SpanKernelReport:
+    """span_vs_kernel for generators already in _SpanGenerator form.
+
+    Identify the multilinear P_n with the group algebra QS_n, a word with
+    the permutation it spells.  The span is the left ideal generated by
+    the h_c of every generator and cut (_cut_blocks), and in Young's
+    seminormal form rho_lam its lam-part has dimension f_lam times the rank
+    of the stacked rho_lam(h_c).  Per lam:
+
+    - containment: span <= K when every generator is a weak identity
+      (_holds), as K is closed under renaming and products by words;
+    - upper bound: m_lam(P_n/K) <= m_lam(P_n/span) <= f_lam - rank_p, the
+      rank modulo SEMINORMAL_PRIME, with the span inside K;
+    - lower bound: m_lam(P_n/K) >= [l(lam) <= k], as lam's highest-weight
+      vector is no weak identity (_witness_value); each seed gives values
+      to the q_i its witness holds, at which it must not vanish.
+
+    Where the bounds meet the rank is exact.  A partition where they do not
+    (or every partition not at full rank, when containment fails) is ranked
+    exactly.  When everything meets, span = K and the quotient is the sum
+    of f_lam over l(lam) <= k.  Otherwise the kernel is the dense
+    evaluation_kernel, up to degree DEFAULT_DEGREE_CAP; above it the first
+    such partition is named in a ValueError.
     """
-    kernel = evaluation_kernel(n, CliffordPair.symbolic(k), seeds=seeds)
-    span = _span_matrix(n, generators)
-    containment = not exact_product(span, orbit_sign_matrix(multilinear_words(n), k)).any()
-    rank = rank_mod_p(span) if containment else None
-    if rank != kernel.kernel_dim:
-        rank = certified_rank(span)
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > ISOTYPIC_DEGREE_CAP:
+        raise ValueError(f"degree {n} above cap {ISOTYPIC_DEGREE_CAP}")
+    gens = [g for g in gens if g.degree <= n]
+    containment = all(_holds(g, k) for g in gens)
+    table, missed = [], []
+    for lam in partitions(n):
+        f, witnessed = hook_dim(lam), int(len(lam) <= k)
+        if witnessed:
+            coeff = _witness_value(lam)
+            for values in seeds:
+                if not coeff.specialize(values):
+                    raise ValueError(f"the witness of {lam} vanishes at the form values {values}")
+        rank = _block_rank(lam, gens, SEMINORMAL_PRIME)
+        if rank != (f - witnessed if containment else f):
+            rank = _block_rank(lam, gens, None)
+        table.append(IsotypicRow(lam, f, rank, f - rank, witnessed))
+        if rank != f - witnessed:
+            missed.append(table[-1])
+    cols = sum(row.dim for row in table)
+    span_rank = sum(row.dim * row.rank for row in table)
+    cuts = sum(n - g.degree + 1 for g in gens)
+    quotient = sum(row.dim for row in table if row.witnessed)
+    if containment and not missed:
+        kernel = _rank_report(n, f"clifford k={k} (symbolic q)", factorial(n), k ** n,
+                              quotient, seeds)
+    elif n <= DEFAULT_DEGREE_CAP:
+        kernel = evaluation_kernel(n, CliffordPair.symbolic(k), seeds=seeds)
+    elif not containment:
+        raise ValueError(f"a generator is not a weak identity of clifford:{k}, and the "
+                         f"kernel at degree {n} is not computed above {DEFAULT_DEGREE_CAP}")
+    else:
+        row = missed[0]
+        raise ValueError(f"at degree {n} the partition {row.partition} has multiplicity "
+                         f"{row.multiplicity} in P_n/span but {row.witnessed} witnessed in "
+                         f"P_n/K; the kernel is not computed above degree {DEFAULT_DEGREE_CAP}")
     return SpanKernelReport(
-        ok=containment and rank == kernel.kernel_dim,
+        ok=containment and span_rank == kernel.kernel_dim,
         degree=n,
-        span=_rank_report(n, target, len(span), span.shape[1], rank),
+        span=_rank_report(n, target, cuts * cols, cols, span_rank),
         kernel=kernel,
         containment_ok=containment,
-        predicted_quotient=sum(hook_dim(p) for p in partitions(n, max_rows=k)),
+        predicted_quotient=quotient,
+        isotypic=tuple(table),
     )
 
 
@@ -548,7 +751,8 @@ def theorem1_check(n: int, seeds: tuple[tuple[int, ...], ...] = ()) -> SpanKerne
     predicted quotient is the number of involutions of n letters."""
     if n < 3:
         raise ValueError("the generator has degree 3; need n >= 3")
-    return span_vs_kernel(n, n, [SQUARE_COMMUTATOR], "consequence span of [x1^2,x2]", seeds)
+    return _compare(n, n, [_poly_generator(SQUARE_COMMUTATOR)], "consequence span of [x1^2,x2]",
+                    seeds)
 
 
 def corollary1_check(
@@ -559,10 +763,10 @@ def corollary1_check(
     [x1^2, x2] together with the standard polynomial S_{k+1}."""
     if k < 1:
         raise ValueError("k must be positive")
-    return span_vs_kernel(
+    return _compare(
         n,
         k,
-        [SQUARE_COMMUTATOR, standard_poly(k + 1)],
+        [_poly_generator(SQUARE_COMMUTATOR), _SpanGenerator(k + 1, None)],
         f"consequence span of [x1^2,x2] and S_{k + 1}",
         seeds,
     )

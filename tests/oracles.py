@@ -1,9 +1,10 @@
 """Reference implementations that the tests compare weakid against.
 
 Each is a plain, independent algorithm for a job that weakid does another
-way: dense Bareiss rank, Gauss-Jordan solving over Fractions, permutation
-signs from the cycle decomposition, and random invertible substitutions for
-the GL-invariance tests.
+way: dense Bareiss rank, the rank modulo a prime, Gauss-Jordan solving over
+Fractions, permutation signs from the cycle decomposition, random
+invertible substitutions for the GL-invariance tests, and the dense
+span-versus-kernel comparison over all n! multilinear words.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from weakid.freealg import NcPoly
+from weakid import linalg, structure
+from weakid.clifford import orbit_sign_matrix
+from weakid.freealg import NcPoly, multilinear_words
+from weakid.pairs import CliffordPair
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -112,4 +116,33 @@ def random_invertible_substitution(n: int, rng) -> dict[int, NcPoly]:
     return {
         i + 1: NcPoly({(j + 1,): rows[i][j] for j in range(n) if rows[i][j]})
         for i in range(n)
+    }
+
+
+def rank_mod_p(rows, p: int = linalg.PRIME) -> int:
+    """Rank over GF(p) of an integer matrix, for a prime p < 2^31.
+
+    A lower bound for the rank over Q, equal to it for all but finitely many
+    primes (those dividing every maximal nonzero minor).
+    """
+    a = linalg._residues(linalg._integer_matrix(rows), p)
+    return len(linalg._echelon(a, p, reduced=False))
+
+
+def dense_span_vs_kernel(n: int, k: int, generators: Sequence[NcPoly]) -> dict:
+    """The span-versus-kernel comparison over all n! multilinear words
+    (n <= 7): the consequence span as the integer matrix of
+    structure._span_matrix, containment as span rows times the orbit sign
+    matrix of C_k, both ranks certified."""
+    span = structure._span_matrix(n, generators)
+    kernel = structure.evaluation_kernel(n, CliffordPair.symbolic(k))
+    signs = orbit_sign_matrix(multilinear_words(n), k)
+    containment = not linalg.exact_product(span, signs).any()
+    rank = linalg.certified_rank(span)
+    return {
+        "ok": containment and rank == kernel.kernel_dim,
+        "containment_ok": containment,
+        "span_rank": rank,
+        "kernel_dim": kernel.kernel_dim,
+        "quotient_dim": kernel.quotient_dim,
     }

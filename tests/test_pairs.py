@@ -324,9 +324,14 @@ class TestCliffordWitnessValue:
             w = is_weak_identity(f, CliffordPair(form))
             if w is None:
                 continue
-            assign = {g: CliffordElt.basis_vector(int(w.assignment[g][1:]), form) for g in letters}
-            want = evaluate(f, assign, form)
-            assert w.value == want and str(w.value) == str(want)
+            # a symbolic C_k with k > n holds the value in its copy of C_n
+            home = FormParams(n) if symbolic and k > n else form
+            for at in (form, home):
+                assign = {g: CliffordElt.basis_vector(int(w.assignment[g][1:]), at)
+                          for g in letters}
+                want = evaluate(f, assign, at)
+                assert str(w.value) == str(want)
+            assert w.value == want
             checked[symbolic] += 1
         assert min(checked.values()) > 20
 

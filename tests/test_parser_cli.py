@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakid import cli, parser
+from weakid import cli, pairs, parser
 from weakid.cli import Report, build_parser, main
 from weakid.freealg import NcPoly, commutator, jordan, standard_poly
 from weakid.parser import (
@@ -289,6 +290,41 @@ class TestCli:
         assert main(["check", "--pair", "clifford:2", expr]) == 2
         assert time.monotonic() - start < 1.0
         assert f"more than {MAX_TERMS} terms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, words", [
+        (["--max-degree", "11", "check", "--pair", "clifford:2", "x1^10*x2"], 3628800),
+        (["--max-degree", "30", "check", "--pair", "clifford:2", "x1^30"],
+         math.factorial(30)),
+    ], ids=["x1^10*x2", "x1^30"])
+    def test_polarization_above_cap_exit_2_before_expansion(self, capsys, monkeypatch, argv,
+                                                            words):
+        def forbidden(f):
+            raise AssertionError("multilinearize called")
+
+        monkeypatch.setattr(pairs, "multilinearize", forbidden)
+        start = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - start < 1.0
+        assert f"can give {words} words, above the cap {MAX_TERMS}" in capsys.readouterr().err
+
+    def test_polarization_at_cap_is_decided(self, capsys):
+        # 1 * 3! * 2! = 12 words, and S(9) polarizes to its own 9! words
+        assert main(["check", "--pair", "clifford:2", "x1^3*x2^2"]) == 1
+        assert pairs.MAX_TERMS == MAX_TERMS >= math.factorial(9)
+
+    def test_huge_clifford_dimension_is_decided_as_the_degree(self, capsys):
+        # a degree-2 component uses at most 2 labels: clifford:k for k > 2
+        # has the tuples, witness and printed value of clifford:2
+        outs = []
+        for k in (2, 5, 99999999999):
+            start = time.monotonic()
+            assert main(["check", "--pair", f"clifford:{k}", "x1*x2"]) == 1
+            assert time.monotonic() - start < 1.0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2] == "fails; witness:\n  x1 -> e1\n  x2 -> e1\n  value = q1\n"
+        assert main(["check", "--pair", "clifford:99999999999", "x1*x2 - x2*x1"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == ["  x1 -> e1", "  x2 -> e2",
+                                                           "  value = 2*e{1,2}"]
 
     def test_witness_value_beyond_int_str_digits(self, capsys):
         # 2^16000 has 4817 digits, above Python's default int-to-str cap of 4300

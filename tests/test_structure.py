@@ -20,7 +20,7 @@ from weakid.freealg import (
     standard_poly,
     substitute_linear,
 )
-from weakid.linalg import PRIME, exact_rank, rank_mod_p, solve_exact
+from weakid.linalg import PRIME, exact_rank, solve_exact
 from weakid.pairs import CliffordPair, MatrixPair, is_weak_identity
 from weakid.structure import (
     DEFAULT_SEEDS,
@@ -47,7 +47,7 @@ from weakid.structure import (
     theorem1_check,
 )
 
-from oracles import rank_bareiss, solve_gauss_jordan
+from oracles import dense_span_vs_kernel, rank_bareiss, rank_mod_p, solve_gauss_jordan
 
 
 def count_syt_brute(lam):
@@ -284,17 +284,24 @@ class TestSpans:
 
 class TestOneDegreeCap:
     """multilinear_words is the one degree limit of every dense rank
-    (consequence_span_dim: TestSpans.test_degree_cap)."""
+    (consequence_span_dim: TestSpans.test_degree_cap); the per-partition
+    comparisons stop at ISOTYPIC_DEGREE_CAP instead."""
 
     @pytest.mark.parametrize("call", [
         lambda: evaluation_kernel(8, CliffordPair.symbolic(2)),
         lambda: evaluation_kernel(8, MatrixPair()),
         lambda: in_consequence_span(NcPoly.monomial(tuple(range(1, 9))), 8, [SQUARE_COMMUTATOR]),
-        lambda: theorem1_check(8),
-        lambda: corollary1_check(8, 2),
-    ], ids=["kernel-clifford", "kernel-m2", "in-span", "theorem1", "corollary1"])
+    ], ids=["kernel-clifford", "kernel-m2", "in-span"])
     def test_degree_8_refused(self, call):
         with pytest.raises(ValueError, match="degree 8 above cap 7"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: theorem1_check(11),
+        lambda: corollary1_check(11, 2),
+    ], ids=["theorem1", "corollary1"])
+    def test_degree_11_refused(self, call):
+        with pytest.raises(ValueError, match="degree 11 above cap 10"):
             call()
 
     def test_degree_7_runs(self):
@@ -367,45 +374,74 @@ class TestSpanMatrix:
             consequence_span_dim(3, [g])
 
 
+def record_block_ranks(monkeypatch) -> list:
+    """Record each per-partition rank of structure as (partition, prime)."""
+    calls = []
+    block_rank = structure._block_rank
+
+    def recorded(lam, gens, p):
+        calls.append((lam, p))
+        return block_rank(lam, gens, p)
+
+    monkeypatch.setattr(structure, "_block_rank", recorded)
+    return calls
+
+
 class TestSpanKernelCertificate:
     def test_unlucky_prime_falls_back_to_exact_rank(self, monkeypatch):
-        # modulo 3 the span of [x1^2,x2] and S_3 at degree 4 has rank 14, not 18
-        want = corollary1_check(4, 2)
-        span = structure._span_matrix(4, [SQUARE_COMMUTATOR, standard_poly(3)])
-        assert rank_mod_p(span, 3) < want.span.rank == exact_rank(span.tolist())
-        exact_calls = []
-
-        def counted_exact_rank(rows):
-            exact_calls.append(len(rows))
-            return exact_rank(rows)
-
-        # the certificate modulo 3 fails as well, so the span rank is exact
-        monkeypatch.setattr(structure, "rank_mod_p", lambda rows: rank_mod_p(rows, 3))
-        monkeypatch.setattr(linalg, "PRIME", 3)
-        monkeypatch.setattr(linalg, "exact_rank", counted_exact_rank)
-        assert corollary1_check(4, 2) == want
-        assert len(span) in exact_calls
+        # modulo 5 the (2,1,1,1)-block of [x1^2,x2] at degree 5 has rank 2,
+        # not 3, and S_5 = 5! e_{1..5} on the one-column shape vanishes
+        want = {call: call() for call in (lambda: theorem1_check(5),
+                                           lambda: corollary1_check(5, 4))}
+        calls = record_block_ranks(monkeypatch)
+        monkeypatch.setattr(structure, "SEMINORMAL_PRIME", 5)
+        exact = []
+        for call, report in want.items():
+            calls.clear()
+            assert call() == report
+            exact.append([lam for lam, p in calls if p is None])
+            assert all((lam, 5) in calls for lam in exact[-1])
+        assert exact == [[(2, 1, 1, 1)], [(2, 1, 1, 1), (1, 1, 1, 1, 1)]]
 
     def test_word_size_prime_needs_no_exact_span_rank(self, monkeypatch):
-        rank_calls = []
-
-        def counted(rank):
-            def wrapped(rows):
-                rank_calls.append(len(rows))
-                return rank(rows)
-            return wrapped
-
-        monkeypatch.setattr(linalg, "exact_rank", counted(exact_rank))
-        monkeypatch.setattr(structure, "certified_rank", counted(linalg.certified_rank))
-        rep = corollary1_check(4, 2)
-        assert rep.ok and rep.span.rank == 18
-        assert rep.span.rows not in rank_calls
+        calls = record_block_ranks(monkeypatch)
+        for n in range(3, 8):
+            assert theorem1_check(n).ok
+            for k in range(1, n):
+                assert corollary1_check(n, k).ok
+        assert calls and {p for _, p in calls} == {PRIME}
 
     def test_failed_containment_is_reported(self):
         # S_3 is no identity of C_3: containment fails, the span is ranked exactly
         rep = structure.span_vs_kernel(4, 3, [standard_poly(3)], "S_3")
         assert not rep.containment_ok and not rep.ok
         assert rep.span.rank == consequence_span_dim(4, [standard_poly(3)]).rank
+
+    @pytest.mark.parametrize("n, k, gens", [
+        (4, 3, [standard_poly(3)]),  # no identity of C_3
+        (4, 3, [SQUARE_COMMUTATOR]),  # contained, but S_4 is missing
+        (5, 2, [SQUARE_COMMUTATOR, standard_poly(4)]),  # S_4 in place of S_3
+        (6, 3, [SQUARE_COMMUTATOR]),
+    ], ids=["S3-on-C3", "no-S4", "S4-on-C2", "degree-6-no-S4"])
+    def test_weakened_generators(self, n, k, gens):
+        """The rows where the bounds miss are reported, and the verdict,
+        ranks and kernel are those of the dense oracle."""
+        rep = structure.span_vs_kernel(n, k, gens, "weakened")
+        want = dense_span_vs_kernel(n, k, gens)
+        assert not rep.ok and not want["ok"]
+        assert (rep.containment_ok, rep.span.rank, rep.kernel.kernel_dim) == (
+            want["containment_ok"], want["span_rank"], want["kernel_dim"])
+        missed = [row.partition for row in rep.isotypic if row.multiplicity != row.witnessed]
+        assert missed
+        if rep.containment_ok:
+            # the lower bound is exact; what the span misses has more than k rows
+            assert all(len(lam) > k for lam in missed)
+        if gens == [SQUARE_COMMUTATOR]:
+            assert missed == [lam for lam in partitions(n) if len(lam) > k]
+
+    def test_missed_bounds_above_degree_7_name_the_partition(self):
+        with pytest.raises(ValueError, match=r"partition \(1, 1, 1, 1, 1, 1, 1, 1\)"):
+            structure.span_vs_kernel(8, 7, [SQUARE_COMMUTATOR], "no S_8")
 
 
 class TestEvaluationKernel:
