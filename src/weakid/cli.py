@@ -332,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=_env_max_degree(),
-        help="degree cap for expressions and for standard (default 7); the rank "
-        "commands dim and span are capped at degree 7 regardless, theorem1 and "
-        "corollary1 at degree 10",
+        help="degree cap for expressions and for standard (default 7); dim is "
+        "capped at degree 7 regardless, span, theorem1 and corollary1 at degree 10",
     )
     ap.add_argument(
         "--seeds",

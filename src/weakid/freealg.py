@@ -346,8 +346,10 @@ def substitute_linear(f: NcPoly, subst: Mapping[int, NcPoly]) -> NcPoly:
 
 def multilinear_words(n: int) -> list[Word]:
     """The n! degree-n multilinear words, in lexicographic order of the
-    permutation.  Every dense multilinear computation (spans, evaluation
-    kernels) starts here, so DEFAULT_DEGREE_CAP bounds them all."""
+    permutation.  Every dense multilinear computation (evaluation kernels)
+    starts here, so DEFAULT_DEGREE_CAP bounds them all; consequence spans
+    are ranked one partition at a time instead, up to
+    structure.ISOTYPIC_DEGREE_CAP."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > DEFAULT_DEGREE_CAP:

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
-from typing import Iterable, Sequence
+from math import factorial, prod
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .freealg import (
     standard_poly,
     word_key,
 )
-# Unused here since spans are built as integer matrices; kept importable as
-# structure.substitute_linear for the same traced run.
+# Unused here since spans are ranked one partition at a time; kept importable
+# as structure.substitute_linear for the same traced run.
 from .freealg import substitute_linear  # noqa: F401
 # exact_rank is unused here since every rank is certified; kept importable
 # as structure.exact_rank for the same traced run.
@@ -51,7 +51,6 @@ from .linalg import (
     _echelon,
     _int_row,
     _pivot_rows,
-    _signed_dtype,
     certified_rank,
     exact_product,
     gram,
@@ -65,6 +64,7 @@ from .pairs import (
     is_weak_identity,
 )
 from .scalars import ParamPoly
+from .symmetric import partitions
 
 Partition = tuple[int, ...]
 
@@ -79,27 +79,6 @@ DEFAULT_SEEDS = (
 
 # ---------------------------------------------------------------------------
 # partition combinatorics
-
-
-def partitions(n: int, max_rows: int | None = None) -> list[Partition]:
-    """All partitions of n (optionally with at most max_rows rows), reverse-lex."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out: list[Partition] = []
-
-    def rec(remaining: int, max_part: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if max_rows is not None and len(prefix) == max_rows:
-            return
-        for p in range(min(max_part, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return out
 
 
 def _check_partition(lam: Sequence[int]) -> Partition:
@@ -310,13 +289,13 @@ def lemma1_defect(n: int) -> NcPoly:
 class RankReport:
     """Exact rank data for a degree-n multilinear computation.
 
-    rows x cols is the shape of the matrix ranked: for a consequence span,
-    its rows after deduplication by the n! words; for an evaluation kernel,
-    the n! words by all k^n (or 4 * 3^n for M2) basis substitutions, of
-    which the rank reads only orbit representatives (k = 3 for M2).  The
-    span of span_vs_kernel is ranked one partition lam of n at a time, in
-    blocks rho_lam(h_c) of f_lam x f_lam, one per generator and cut: there
-    cols is the sum of f_lam over lam, rows is cols times the number of
+    rows x cols is the shape of the matrix ranked.  For an evaluation
+    kernel it is the n! words by all k^n (or 4 * 3^n for M2) basis
+    substitutions, of which the rank reads only orbit representatives
+    (k = 3 for M2).  A consequence span (consequence_span_dim, and the span
+    of span_vs_kernel) is ranked one partition lam of n at a time, in blocks
+    rho_lam(h_c) of f_lam x f_lam, one per generator and cut: there cols is
+    the sum of f_lam over lam, rows is cols times the number of
     (generator, cut) pairs, and rank is the sum of f_lam times the rank of
     each lam's stacked blocks (SpanKernelReport.isotypic).
     kernel_dim = n! - rank and quotient_dim = rank always hold.  The rank
@@ -324,11 +303,11 @@ class RankReport:
     bound) and proves the upper bound with a kernel basis lifted to integers
     and checked exactly, else ranks exactly.  A Clifford kernel is ranked
     through the Gram matrix of its orbit sign matrix, which has the same
-    rank.  A span_vs_kernel rank may instead meet its bound modulo a prime,
-    and its kernel may come from those bounds (rows n!, cols k^n, no matrix
-    built).  seeds are the form values at which the orbit sign matrix was
-    spot-checked, or for a kernel from the bounds, at which each witness
-    was evaluated.
+    rank.  A span's lam-rank may instead meet its bound modulo a prime,
+    and a span_vs_kernel kernel may come from those bounds (rows n!, cols
+    k^n, no matrix built).  seeds are the form values at which the orbit
+    sign matrix was spot-checked, or for a kernel from the bounds, at which
+    each witness was evaluated.
     """
 
     degree: int
@@ -341,88 +320,12 @@ class RankReport:
     seeds: tuple[tuple[int, ...], ...] = ()
 
 
-def _permutation_index(words: np.ndarray) -> np.ndarray:
-    """Position of each row (a permutation of 1..n) in multilinear_words(n),
-    from its Lehmer code: the count of later smaller letters at each place."""
-    n = words.shape[1]
-    later_smaller = (words[:, None, :] < words[:, :, None]) & np.triu(np.ones((n, n), bool), 1)
-    weights = np.array([factorial(n - 1 - i) for i in range(n)])
-    return later_smaller.sum(axis=2) @ weights
-
-
-def _span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
-    """Integer rows spanning the degree-n multilinear slice of the GL-ideal,
-    one column per word of multilinear_words(n), deduplicated up to scaling,
-    in the narrowest signed integer dtype that holds the entries.
-
-    A consequence is u * g(x_{i_1},..,x_{i_d}) * v for a multilinearized
-    generator g in d letters, an injective renaming i and words u, v in the
-    remaining letters.  List the letters as a permutation pi of 1..n, the
-    renaming first, and cut the rest at c: the term of g at letter places t
-    becomes the word pi[d:d+c] + pi[t] + pi[d+c:], one fixed column selection
-    of the n! x n array of all pi.  With g's coefficients made coprime
-    integers and each row's first entry positive, np.unique removes the
-    duplicates up to scaling; the first of each is kept, in order.
-    """
-    perms = np.array(multilinear_words(n))
-    nfact = len(perms)
-    blocks = []  # per block of n! rows (a generator and a cut): its terms
-    top = 0  # the largest coefficient magnitude
-    for g in generators:
-        words, coeffs, _ = _integer_rows(multilinearize(g))
-        d = words.shape[1]
-        if d > n:
-            continue
-        content = gcd(*coeffs)  # every row of g holds exactly these entries
-        coeffs = [c // content for c in coeffs]
-        top = max([top, *map(abs, coeffs)])
-        if top >= 2**63:
-            raise ValueError(f"generator {g} has integer coefficients beyond int64")
-        places = (words - 1).tolist()
-        for cut in range(n - d + 1):
-            blocks.append([([*range(d, d + cut), *t, *range(d + cut, n)], c)
-                           for t, c in zip(places, coeffs)])
-    span = np.zeros((len(blocks) * nfact, nfact), dtype=_signed_dtype(top))
-    for b, terms in enumerate(blocks):
-        for cols, c in terms:
-            span[np.arange(b * nfact, (b + 1) * nfact), _permutation_index(perms[:, cols])] = c
-    span *= np.sign(span[np.arange(len(span)), np.argmax(span != 0, axis=1)])[:, None]
-    # rows as single opaque items: np.unique(axis=0) compares them column
-    # by column, ten times slower at n = 6
-    whole_rows = span.view(np.dtype((np.void, span.strides[0]))).ravel()
-    return span[np.sort(np.unique(whole_rows, return_index=True)[1])]
-
-
 def _rank_report(
     n: int, target: str, rows: int, cols: int, rank: int, seeds: Sequence = ()
 ) -> RankReport:
     """Report of a rank over the n! multilinear words of degree n."""
     kernel_dim = factorial(n) - rank
     return RankReport(n, target, rows, cols, rank, kernel_dim, rank, tuple(map(tuple, seeds)))
-
-
-def consequence_span_dim(n: int, generators: Sequence[NcPoly]) -> RankReport:
-    """Exact dimension of the degree-n multilinear consequence span."""
-    span = _span_matrix(n, generators)
-    target = f"consequence span of {len(generators)} generator(s)"
-    return _rank_report(n, target, len(span), span.shape[1], certified_rank(span))
-
-
-def in_consequence_span(f: NcPoly, n: int, generators: Sequence[NcPoly]) -> bool:
-    """Whether the multilinear degree-n polynomial f lies in the span of the
-    degree-n multilinear consequences of the generators."""
-    words = multilinear_words(n)
-    if f.is_zero():
-        return True
-    md = multidegree(f)
-    if sorted(md) != list(range(1, n + 1)) or any(d != 1 for d in md.values()):
-        raise ValueError("f must be multilinear in x1..xn")
-    span = _span_matrix(n, generators)
-    coeffs = [f.coeff(w) for w in words]
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    row = np.array(ints, dtype=_signed_dtype(max(map(abs, ints))))
-    return certified_rank(np.vstack([span, row])) == certified_rank(span)
 
 
 def _seed_form(k: int, primes: Sequence[int]) -> FormParams:
@@ -549,7 +452,8 @@ class SpanKernelReport:
     isotypic: tuple[IsotypicRow, ...] = ()
 
 
-#: Degree cap of span_vs_kernel, theorem1_check and corollary1_check.
+#: Degree cap of every per-partition rank: consequence_span_dim,
+#: in_consequence_span, span_vs_kernel, theorem1_check and corollary1_check.
 ISOTYPIC_DEGREE_CAP = 10
 #: The prime of the per-partition ranks.  Any prime p >= n is valid: it
 #: divides no denominator of the seminormal form, so rank_p <= rank_Q.
@@ -561,12 +465,13 @@ class _SpanGenerator:
     """A generator g as the per-partition ranks see it: its multilinear
     degree d, and the terms (permutation of 1..d, integer coefficient) of
     its multilinearization, or None for the standard polynomial S_d, which
-    is never expanded; poly is g itself (None for S_d).  The row bases of
-    rho_mu(g) are kept per (mu, p) for the life of the object."""
+    is never expanded; poly is g itself (None for S_d).  rho_mu(g) for every
+    mu of d, and its row bases, are kept per p for the life of the object."""
 
     degree: int
     terms: tuple[tuple[Word, int], ...] | None
     poly: NcPoly | None = None
+    _rho: dict = field(default_factory=dict, compare=False, repr=False)
     _rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     def rows(self, mu: Partition, p: int | None) -> np.ndarray:
@@ -578,7 +483,9 @@ class _SpanGenerator:
             if self.terms is None:
                 block = np.full((f, f), factorial(d) if mu == (1,) * d else 0, dtype=np.int64)
             else:
-                block = symmetric.rho_element(mu, self.terms, p)
+                if p not in self._rho:
+                    self._rho[p] = symmetric.rho_element(self.terms, d, p)
+                block = self._rho[p][mu]
             if p is None:
                 rows = np.array(list(_pivot_rows(block.tolist()).values()), dtype=object)
                 self._rows[mu, p] = rows.reshape(-1, f)
@@ -591,6 +498,11 @@ class _SpanGenerator:
 def _poly_generator(g: NcPoly) -> _SpanGenerator:
     words, coeffs, _ = _integer_rows(multilinearize(g))
     return _SpanGenerator(words.shape[1], tuple(zip(map(tuple, words.tolist()), coeffs)), g)
+
+
+def _poly_generators(generators: Sequence[NcPoly]) -> list[_SpanGenerator]:
+    """The nonzero generators in _SpanGenerator form: a zero one spans nothing."""
+    return [_poly_generator(g) for g in generators if not g.is_zero()]
 
 
 def _holds(gen: _SpanGenerator, k: int) -> bool:
@@ -653,6 +565,100 @@ def _witness_value(lam: Partition) -> ParamPoly:
     return ParamPoly.monomial(len(lam), exps, sign * prod(map(factorial, cols)))
 
 
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > ISOTYPIC_DEGREE_CAP:
+        raise ValueError(f"degree {n} above cap {ISOTYPIC_DEGREE_CAP}")
+
+
+def _isotypic_ranks(
+    n: int,
+    k: int,
+    gens: Sequence[_SpanGenerator],
+    seeds: tuple[tuple[int, ...], ...] = (),
+) -> tuple[bool, Iterator[IsotypicRow]]:
+    """The consequence span of the generators at degree n, one partition
+    of n at a time: whether every generator is a weak identity of
+    (C_k, V_k), and the IsotypicRow of each partition, with its exact rank,
+    computed as the rows are drawn.
+
+    Identify the multilinear P_n with the group algebra QS_n, a word with
+    the permutation it spells.  The span is the left ideal generated by
+    the h_c of every generator and cut (_cut_blocks), and in Young's
+    seminormal form rho_lam its lam-part has dimension f_lam times the rank
+    of the stacked rho_lam(h_c).  Per lam:
+
+    - containment: span <= K (the weak identities of (C_k, V_k)) when every
+      generator is a weak identity (_holds), as K is closed under renaming
+      and products by words;
+    - upper bound: m_lam(P_n/K) <= m_lam(P_n/span) <= f_lam - rank_p, the
+      rank modulo SEMINORMAL_PRIME, with the span inside K;
+    - lower bound: m_lam(P_n/K) >= [l(lam) <= k], as lam's highest-weight
+      vector is no weak identity (_witness_value); each seed gives values
+      to the q_i its witness holds, at which it must not vanish.
+
+    So rank_p = f_lam - [l(lam) <= k] with the span inside K, or rank_p =
+    f_lam, is the exact rank; any other partition is ranked exactly.  At
+    k = n every partition is witnessed.
+    """
+    _check_degree(n)
+    gens = [g for g in gens if g.degree <= n]
+    containment = all(_holds(g, k) for g in gens)
+
+    def rows():
+        for lam in partitions(n):
+            f, witnessed = hook_dim(lam), int(len(lam) <= k)
+            if witnessed:
+                coeff = _witness_value(lam)
+                for values in seeds:
+                    if not coeff.specialize(values):
+                        raise ValueError(
+                            f"the witness of {lam} vanishes at the form values {values}")
+            rank = _block_rank(lam, gens, SEMINORMAL_PRIME)
+            if rank != (f - witnessed if containment else f):
+                rank = _block_rank(lam, gens, None)
+            yield IsotypicRow(lam, f, rank, f - rank, witnessed)
+
+    return containment, rows()
+
+
+def _span_report(
+    n: int, target: str, gens: Sequence[_SpanGenerator], table: Sequence[IsotypicRow]
+) -> RankReport:
+    """The span's RankReport from its IsotypicRows: cols is the sum of
+    f_lam, rows is cols times the number of (generator, cut) pairs, and
+    rank is the sum of f_lam times each lam's rank."""
+    cols = sum(row.dim for row in table)
+    cuts = sum(n - g.degree + 1 for g in gens if g.degree <= n)
+    return _rank_report(n, target, cuts * cols, cols, sum(row.dim * row.rank for row in table))
+
+
+def consequence_span_dim(n: int, generators: Sequence[NcPoly]) -> RankReport:
+    """Exact dimension of the degree-n multilinear consequence span of the
+    generators, one partition of n at a time (_isotypic_ranks at k = n)."""
+    gens = _poly_generators(generators)
+    _, table = _isotypic_ranks(n, n, gens)
+    return _span_report(n, f"consequence span of {len(gens)} generator(s)", gens, list(table))
+
+
+def in_consequence_span(f: NcPoly, n: int, generators: Sequence[NcPoly]) -> bool:
+    """Whether the multilinear degree-n polynomial f lies in the span of the
+    degree-n multilinear consequences of the generators: the span is a
+    left ideal of QS_n, so f lies in it exactly when adding f as one more
+    generator raises no partition's rank.  Stops at the first that rises."""
+    _check_degree(n)
+    if f.is_zero():
+        return True
+    md = multidegree(f)
+    if sorted(md) != list(range(1, n + 1)) or any(d != 1 for d in md.values()):
+        raise ValueError("f must be multilinear in x1..xn")
+    gens = _poly_generators(generators)
+    _, before = _isotypic_ranks(n, n, gens)
+    _, after = _isotypic_ranks(n, n, [*gens, _poly_generator(f)])
+    return all(a.rank == b.rank for a, b in zip(before, after))
+
+
 def span_vs_kernel(
     n: int,
     k: int,
@@ -664,7 +670,7 @@ def span_vs_kernel(
     with the multilinear weak identities K of the generic k-dimensional
     Clifford pair, one partition of n at a time; the predicted quotient is
     the hook-length sum over partitions of n with at most k rows."""
-    return _compare(n, k, [_poly_generator(g) for g in generators], target, seeds)
+    return _compare(n, k, _poly_generators(generators), target, seeds)
 
 
 def _compare(
@@ -676,50 +682,15 @@ def _compare(
 ) -> SpanKernelReport:
     """span_vs_kernel for generators already in _SpanGenerator form.
 
-    Identify the multilinear P_n with the group algebra QS_n, a word with
-    the permutation it spells.  The span is the left ideal generated by
-    the h_c of every generator and cut (_cut_blocks), and in Young's
-    seminormal form rho_lam its lam-part has dimension f_lam times the rank
-    of the stacked rho_lam(h_c).  Per lam:
-
-    - containment: span <= K when every generator is a weak identity
-      (_holds), as K is closed under renaming and products by words;
-    - upper bound: m_lam(P_n/K) <= m_lam(P_n/span) <= f_lam - rank_p, the
-      rank modulo SEMINORMAL_PRIME, with the span inside K;
-    - lower bound: m_lam(P_n/K) >= [l(lam) <= k], as lam's highest-weight
-      vector is no weak identity (_witness_value); each seed gives values
-      to the q_i its witness holds, at which it must not vanish.
-
-    Where the bounds meet the rank is exact.  A partition where they do not
-    (or every partition not at full rank, when containment fails) is ranked
-    exactly.  When everything meets, span = K and the quotient is the sum
-    of f_lam over l(lam) <= k.  Otherwise the kernel is the dense
+    The span's partitions come from _isotypic_ranks.  When containment
+    holds and every rank meets its bound, span = K and the quotient is the
+    sum of f_lam over l(lam) <= k.  Otherwise the kernel is the dense
     evaluation_kernel, up to degree DEFAULT_DEGREE_CAP; above it the first
-    such partition is named in a ValueError.
+    partition where the bounds miss is named in a ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > ISOTYPIC_DEGREE_CAP:
-        raise ValueError(f"degree {n} above cap {ISOTYPIC_DEGREE_CAP}")
-    gens = [g for g in gens if g.degree <= n]
-    containment = all(_holds(g, k) for g in gens)
-    table, missed = [], []
-    for lam in partitions(n):
-        f, witnessed = hook_dim(lam), int(len(lam) <= k)
-        if witnessed:
-            coeff = _witness_value(lam)
-            for values in seeds:
-                if not coeff.specialize(values):
-                    raise ValueError(f"the witness of {lam} vanishes at the form values {values}")
-        rank = _block_rank(lam, gens, SEMINORMAL_PRIME)
-        if rank != (f - witnessed if containment else f):
-            rank = _block_rank(lam, gens, None)
-        table.append(IsotypicRow(lam, f, rank, f - rank, witnessed))
-        if rank != f - witnessed:
-            missed.append(table[-1])
-    cols = sum(row.dim for row in table)
-    span_rank = sum(row.dim * row.rank for row in table)
-    cuts = sum(n - g.degree + 1 for g in gens)
+    containment, rows = _isotypic_ranks(n, k, gens, seeds)
+    table = list(rows)
+    missed = [row for row in table if row.multiplicity != row.witnessed]
     quotient = sum(row.dim for row in table if row.witnessed)
     if containment and not missed:
         kernel = _rank_report(n, f"clifford k={k} (symbolic q)", factorial(n), k ** n,
@@ -734,10 +705,11 @@ def _compare(
         raise ValueError(f"at degree {n} the partition {row.partition} has multiplicity "
                          f"{row.multiplicity} in P_n/span but {row.witnessed} witnessed in "
                          f"P_n/K; the kernel is not computed above degree {DEFAULT_DEGREE_CAP}")
+    span = _span_report(n, target, gens, table)
     return SpanKernelReport(
-        ok=containment and span_rank == kernel.kernel_dim,
+        ok=containment and span.rank == kernel.kernel_dim,
         degree=n,
-        span=_rank_report(n, target, cuts * cols, cols, span_rank),
+        span=span,
         kernel=kernel,
         containment_ok=containment,
         predicted_quotient=quotient,

@@ -25,6 +25,12 @@ per column.  Entries are residues modulo a prime p >= n, which divides no
 |r| <= n - 1, or Fractions when p is None.  Caches are keyed by shape (and
 p), and their arrays are read-only.
 
+rho_lam of a group-algebra element (``rho_element``) is built for every lam
+of n at once along the trie of its words: the terms are grouped by the
+place of the letter n, and each group, with n deleted, by one recursive
+call at n - 1, placed block diagonally and multiplied by the generators
+that move n back to its place.
+
 Sources: A. Okounkov and A. Vershik, "A new approach to representation
 theory of symmetric groups", Selecta Math. 2 (1996); G. James and
 A. Kerber, The Representation Theory of the Symmetric Group (1981).
@@ -40,6 +46,27 @@ import numpy as np
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, int], ...]
+
+
+def partitions(n: int, max_rows: int | None = None) -> list[Partition]:
+    """All partitions of n (optionally with at most max_rows rows), reverse-lex."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    out: list[Partition] = []
+
+    def rec(remaining: int, max_part: int, prefix: list[int]):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if max_rows is not None and len(prefix) == max_rows:
+            return
+        for p in range(min(max_part, remaining), 0, -1):
+            prefix.append(p)
+            rec(remaining - p, p, prefix)
+            prefix.pop()
+
+    rec(n, n, [])
+    return out
 
 
 def _corners(shape: Partition):
@@ -124,46 +151,41 @@ def right_multiply(x: np.ndarray, shape: Partition, word: Iterable[int],
     return x
 
 
-def reduced_word(perm: Sequence[int]) -> list[int]:
-    """A word w with perm = s_{w_1} s_{w_2} ... for a permutation in
-    one-line notation (perm[j-1] is the image of j): bubble sort, where each
-    swap of the places j, j+1 is a right factor s_j."""
-    one_line, swaps = list(perm), []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(one_line) - 1):
-            if one_line[j] > one_line[j + 1]:
-                one_line[j], one_line[j + 1] = one_line[j + 1], one_line[j]
-                swaps.append(j + 1)
-                changed = True
-    return swaps[::-1]
-
-
-def identity(shape: Partition, p: int | None) -> np.ndarray:
-    """rho_shape(1): int64 modulo p, Python ints (object) for p None."""
-    return np.eye(len(standard_tableaux(shape)), dtype=np.int64).astype(_dtype(p))
-
-
 def _dtype(p: int | None):
     return object if p is None else np.int64
 
 
-def rho_permutation(shape: Partition, perm: Sequence[int], p: int | None) -> np.ndarray:
-    """rho_shape(perm) for a permutation of 1..n in one-line notation."""
-    return right_multiply(identity(shape, p), shape, reduced_word(perm), p)
+def rho_element(terms: Iterable[tuple[Sequence[int], int | Fraction]], n: int,
+                p: int | None) -> dict[Partition, np.ndarray]:
+    """rho_lam(f) for every partition lam of n, of the group-algebra element
+    f = sum c * perm over the terms (perm, c), each perm a permutation of
+    1..n in one-line notation.
 
-
-def rho_element(shape: Partition, terms: Iterable[tuple[Sequence[int], int | Fraction]],
-                p: int | None) -> np.ndarray:
-    """rho_shape of the group-algebra element sum c * perm over the terms
-    (perm, c); modulo p with each term reduced before it is added."""
-    f = len(standard_tableaux(shape))
-    out = np.zeros((f, f), dtype=_dtype(p))
+    Built along the trie of the words, not term by term.  A word w with the
+    letter n at place q is sigma s_{n-1} ... s_q, where sigma is w with n
+    deleted, a permutation of 1..n-1.  So rho_lam(f) is the sum over q of
+    rho_lam(f_q) rho(s_{n-1}) ... rho(s_q), where f_q collects the terms
+    with n at place q, with n deleted; rho_lam(f_q) is block diagonal in the
+    rho_mu(f_q), mu a partition of n - 1 (restriction_blocks), and one
+    recursive call gives them for every mu at once."""
+    if n == 1:
+        total = sum((c for _, c in terms), Fraction(0))
+        return {(1,): np.array([[_residue(total, p)]], dtype=_dtype(p))}
+    by_place: dict[int, list] = {}
     for perm, c in terms:
-        term = rho_permutation(shape, perm, p)
-        if p is None:
-            out = out + term * c
-        else:
-            out = (out + term * _residue(Fraction(c), p)) % p
+        q = perm.index(n)
+        by_place.setdefault(q, []).append((perm[:q] + perm[q + 1:], c))
+    out = {lam: np.zeros((len(standard_tableaux(lam)),) * 2, dtype=_dtype(p))
+           for lam in partitions(n)}
+    for q, sub in by_place.items():
+        low = rho_element(sub, n - 1, p)
+        for lam, acc in out.items():
+            x = np.zeros_like(acc)
+            for start, mu in restriction_blocks(lam, n - 1):
+                f = len(low[mu])
+                x[start:start + f, start:start + f] = low[mu]
+            # q counts places from 0, so the word is s_{n-1} ... s_{q+1}
+            acc += right_multiply(x, lam, range(n - 1, q, -1), p)
+            if p is not None:
+                acc %= p
     return out

@@ -3,20 +3,25 @@
 Each is a plain, independent algorithm for a job that weakid does another
 way: dense Bareiss rank, the rank modulo a prime, Gauss-Jordan solving over
 Fractions, permutation signs from the cycle decomposition, random
-invertible substitutions for the GL-invariance tests, and the dense
-span-versus-kernel comparison over all n! multilinear words.
+invertible substitutions for the GL-invariance tests, Young's seminormal
+form of a permutation and of a group-algebra element term by term, and the
+dense consequence span and span-versus-kernel comparison over all n!
+multilinear words.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import factorial, gcd, lcm
+from typing import Iterable, Sequence
 
-from weakid import linalg, structure
+import numpy as np
+
+from weakid import linalg, structure, symmetric
 from weakid.clifford import orbit_sign_matrix
-from weakid.freealg import NcPoly, multilinear_words
-from weakid.pairs import CliffordPair
+from weakid.freealg import NcPoly, multilinear_words, multilinearize, substitute_linear
+from weakid.pairs import CliffordPair, _integer_rows
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -129,12 +134,137 @@ def rank_mod_p(rows, p: int = linalg.PRIME) -> int:
     return len(linalg._echelon(a, p, reduced=False))
 
 
+def reduced_word(perm: Sequence[int]) -> list[int]:
+    """A word w with perm = s_{w_1} s_{w_2} ... for a permutation in
+    one-line notation (perm[j-1] is the image of j): bubble sort, where each
+    swap of the places j, j+1 is a right factor s_j."""
+    one_line, swaps = list(perm), []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(one_line) - 1):
+            if one_line[j] > one_line[j + 1]:
+                one_line[j], one_line[j + 1] = one_line[j + 1], one_line[j]
+                swaps.append(j + 1)
+                changed = True
+    return swaps[::-1]
+
+
+def identity(shape, p: int | None) -> np.ndarray:
+    """rho_shape(1): int64 modulo p, Python ints (object) for p None."""
+    return np.eye(len(symmetric.standard_tableaux(shape)), dtype=np.int64).astype(
+        symmetric._dtype(p))
+
+
+def rho_permutation(shape, perm: Sequence[int], p: int | None) -> np.ndarray:
+    """rho_shape(perm) for a permutation of 1..n in one-line notation, as
+    the product of the seminormal generators along a reduced word."""
+    return symmetric.right_multiply(identity(shape, p), shape, reduced_word(perm), p)
+
+
+def rho_element(shape, terms: Iterable[tuple[Sequence[int], int | Fraction]],
+                p: int | None) -> np.ndarray:
+    """rho_shape of the group-algebra element sum c * perm over the terms
+    (perm, c), term by term; modulo p with each term reduced before it is
+    added."""
+    f = len(symmetric.standard_tableaux(shape))
+    out = np.zeros((f, f), dtype=symmetric._dtype(p))
+    for perm, c in terms:
+        term = rho_permutation(shape, perm, p)
+        if p is None:
+            out = out + term * c
+        else:
+            out = (out + term * symmetric._residue(Fraction(c), p)) % p
+    return out
+
+
+def _permutation_index(words: np.ndarray) -> np.ndarray:
+    """Position of each row (a permutation of 1..n) in multilinear_words(n),
+    from its Lehmer code: the count of later smaller letters at each place."""
+    n = words.shape[1]
+    later_smaller = (words[:, None, :] < words[:, :, None]) & np.triu(np.ones((n, n), bool), 1)
+    weights = np.array([factorial(n - 1 - i) for i in range(n)])
+    return later_smaller.sum(axis=2) @ weights
+
+
+def oracle_span_vectors(n, generators):
+    """The consequence span built term by term in the free algebra: every
+    injective renaming of a multilinearized generator's letters into 1..n,
+    surrounded by every ordered split of the remaining letters, as Fraction
+    coefficient vectors deduplicated up to scaling."""
+    words = multilinear_words(n)
+    seen, vecs = set(), []
+    for g in generators:
+        gm = multilinearize(g)
+        letters = sorted(gm.generators())
+        d = len(letters)
+        if d > n:
+            continue
+        for inj in itertools.permutations(range(1, n + 1), d):
+            inst = substitute_linear(gm, {letters[j]: NcPoly.gen(inj[j]) for j in range(d)})
+            rest = sorted(set(range(1, n + 1)) - set(inj))
+            for perm in itertools.permutations(rest):
+                for cut in range(len(rest) + 1):
+                    p = NcPoly.monomial(perm[:cut]) * inst * NcPoly.monomial(perm[cut:])
+                    vec = [p.coeff(w) for w in words]
+                    first = next(c for c in vec if c)
+                    key = tuple(c / first for c in vec)
+                    if key not in seen:
+                        seen.add(key)
+                        vecs.append(vec)
+    return vecs
+
+
+def span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
+    """Integer rows spanning the degree-n multilinear slice of the GL-ideal,
+    one column per word of multilinear_words(n) (n <= 7), deduplicated up
+    to scaling, in the narrowest signed integer dtype that holds the
+    entries.
+
+    A consequence is u * g(x_{i_1},..,x_{i_d}) * v for a multilinearized
+    generator g in d letters, an injective renaming i and words u, v in the
+    remaining letters.  List the letters as a permutation pi of 1..n, the
+    renaming first, and cut the rest at c: the term of g at letter places t
+    becomes the word pi[d:d+c] + pi[t] + pi[d+c:], one fixed column selection
+    of the n! x n array of all pi.  With g's coefficients made coprime
+    integers and each row's first entry positive, np.unique removes the
+    duplicates up to scaling; the first of each is kept, in order.
+    """
+    perms = np.array(multilinear_words(n))
+    nfact = len(perms)
+    blocks = []  # per block of n! rows (a generator and a cut): its terms
+    top = 0  # the largest coefficient magnitude
+    for g in generators:
+        words, coeffs, _ = _integer_rows(multilinearize(g))
+        d = words.shape[1]
+        if d > n:
+            continue
+        content = gcd(*coeffs)  # every row of g holds exactly these entries
+        coeffs = [c // content for c in coeffs]
+        top = max([top, *map(abs, coeffs)])
+        if top >= 2**63:
+            raise ValueError(f"generator {g} has integer coefficients beyond int64")
+        places = (words - 1).tolist()
+        for cut in range(n - d + 1):
+            blocks.append([([*range(d, d + cut), *t, *range(d + cut, n)], c)
+                           for t, c in zip(places, coeffs)])
+    span = np.zeros((len(blocks) * nfact, nfact), dtype=linalg._signed_dtype(top))
+    for b, terms in enumerate(blocks):
+        for cols, c in terms:
+            span[np.arange(b * nfact, (b + 1) * nfact), _permutation_index(perms[:, cols])] = c
+    span *= np.sign(span[np.arange(len(span)), np.argmax(span != 0, axis=1)])[:, None]
+    # rows as single opaque items: np.unique(axis=0) compares them column
+    # by column, ten times slower at n = 6
+    whole_rows = span.view(np.dtype((np.void, span.strides[0]))).ravel()
+    return span[np.sort(np.unique(whole_rows, return_index=True)[1])]
+
+
 def dense_span_vs_kernel(n: int, k: int, generators: Sequence[NcPoly]) -> dict:
     """The span-versus-kernel comparison over all n! multilinear words
-    (n <= 7): the consequence span as the integer matrix of
-    structure._span_matrix, containment as span rows times the orbit sign
+    (n <= 7): the consequence span as the integer matrix of span_matrix,
+    containment as span rows times the orbit sign
     matrix of C_k, both ranks certified."""
-    span = structure._span_matrix(n, generators)
+    span = span_matrix(n, generators)
     kernel = structure.evaluation_kernel(n, CliffordPair.symbolic(k))
     signs = orbit_sign_matrix(multilinear_words(n), k)
     containment = not linalg.exact_product(span, signs).any()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakid import cli, clifford, pairs, structure
+from weakid import cli, clifford, pairs
 from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate, word_sign_vector
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
@@ -39,7 +39,7 @@ from weakid.pairs import (
     substitution_basis,
 )
 
-from oracles import random_invertible_substitution
+from oracles import random_invertible_substitution, span_matrix
 
 x1, x2, x3 = NcPoly.gen(1), NcPoly.gen(2), NcPoly.gen(3)
 
@@ -371,7 +371,7 @@ def m2_identity_rows(n: int) -> np.ndarray:
     """Integer rows over multilinear_words(n) spanning the degree-n
     multilinear consequences of [x1^2,x2] and S(4), both weak identities of
     (M_2, sl_2)."""
-    return structure._span_matrix(n, [SQUARE_COMMUTATOR, standard_poly(4)])
+    return span_matrix(n, [SQUARE_COMMUTATOR, standard_poly(4)])
 
 
 class TestMatrixWitness:

@@ -11,6 +11,7 @@ import pytest
 from weakid import cli, pairs, parser
 from weakid.cli import Report, build_parser, main
 from weakid.freealg import NcPoly, commutator, jordan, standard_poly
+from weakid.linalg import exact_rank
 from weakid.parser import (
     MAX_NESTING,
     MAX_POWER_BITS,
@@ -25,6 +26,8 @@ from weakid.parser import (
     var_index,
     var_name,
 )
+
+from oracles import oracle_span_vectors
 
 x = NcPoly.gen
 
@@ -393,6 +396,27 @@ class TestCli:
         assert (outcome["rank"], outcome["span_dim"], outcome["quotient_dim"]) == (94, 94, 26)
         assert "kernel_dim" not in outcome
 
+    def test_span_coefficients_beyond_int64(self, capsys):
+        # 2^64 once exceeded the integer span rows; the ranks are exact
+        gens = "2^64*x1*x2+x2*x1"
+        assert main(["span", "--n", "3", "--gens", gens]) == 0
+        dim = exact_rank(oracle_span_vectors(3, [parse_poly(gens)]))
+        assert f"span dim      {dim}\nquotient dim  {6 - dim}\n" in capsys.readouterr().out
+
+    def test_span_zero_generator_spans_nothing(self, capsys):
+        assert main(["span", "--n", "4", "--gens", "[x1^2,x2]"]) == 0
+        want = capsys.readouterr().out
+        assert main(["span", "--n", "4", "--gens", "[x1^2,x2];0"]) == 0
+        assert capsys.readouterr().out == want
+        assert main(["span", "--n", "4", "--gens", "0"]) == 0
+        assert "span dim      0\nquotient dim  24\n" in capsys.readouterr().out
+
+    def test_span_degree_cap(self, capsys):
+        assert main(["--seeds", "none", "span", "--n", "9", "--gens", "[x1^2,x2]"]) == 0
+        assert "quotient dim  2620\n" in capsys.readouterr().out
+        assert main(["span", "--n", "11", "--gens", "[x1^2,x2]"]) == 2
+        assert capsys.readouterr().err == "error: degree 11 above cap 10\n"
+
     def test_theorem1(self, capsys):
         assert main(["theorem1", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -451,7 +475,7 @@ class TestCli:
         assert "quotient dim  4" in capsys.readouterr().out
 
     def test_rank_degree_above_cap_exit_2(self, capsys):
-        # --max-degree bounds expressions; every rank command stops at degree 7
+        # --max-degree bounds expressions; dim stops at degree 7
         assert main(["--max-degree", "9", "dim", "--n", "8", "--pair", "clifford:2"]) == 2
         err = capsys.readouterr().err
         assert "degree 8 above cap 7" in err and "=" not in err

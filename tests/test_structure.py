@@ -16,9 +16,7 @@ from weakid.freealg import (
     NcPoly,
     commutator,
     multilinear_words,
-    multilinearize,
     standard_poly,
-    substitute_linear,
 )
 from weakid.linalg import PRIME, exact_rank, solve_exact
 from weakid.pairs import CliffordPair, MatrixPair, is_weak_identity
@@ -47,7 +45,14 @@ from weakid.structure import (
     theorem1_check,
 )
 
-from oracles import dense_span_vs_kernel, rank_bareiss, rank_mod_p, solve_gauss_jordan
+from oracles import (
+    dense_span_vs_kernel,
+    oracle_span_vectors,
+    rank_bareiss,
+    rank_mod_p,
+    solve_gauss_jordan,
+    span_matrix,
+)
 
 
 def count_syt_brute(lam):
@@ -278,20 +283,19 @@ class TestSpans:
         assert not in_consequence_span(-(2**64) * (x1 * x2) + 2**64 * (x2 * x1), 2, [sym])
 
     def test_degree_cap(self):
-        with pytest.raises(ValueError, match="above cap 7"):
-            consequence_span_dim(8, [SQUARE_COMMUTATOR])
+        with pytest.raises(ValueError, match="degree 11 above cap 10"):
+            consequence_span_dim(11, [SQUARE_COMMUTATOR])
 
 
 class TestOneDegreeCap:
-    """multilinear_words is the one degree limit of every dense rank
-    (consequence_span_dim: TestSpans.test_degree_cap); the per-partition
-    comparisons stop at ISOTYPIC_DEGREE_CAP instead."""
+    """multilinear_words is the one degree limit of the dense evaluation
+    kernel; every per-partition rank stops at ISOTYPIC_DEGREE_CAP instead
+    (consequence_span_dim: TestSpans.test_degree_cap)."""
 
     @pytest.mark.parametrize("call", [
         lambda: evaluation_kernel(8, CliffordPair.symbolic(2)),
         lambda: evaluation_kernel(8, MatrixPair()),
-        lambda: in_consequence_span(NcPoly.monomial(tuple(range(1, 9))), 8, [SQUARE_COMMUTATOR]),
-    ], ids=["kernel-clifford", "kernel-m2", "in-span"])
+    ], ids=["kernel-clifford", "kernel-m2"])
     def test_degree_8_refused(self, call):
         with pytest.raises(ValueError, match="degree 8 above cap 7"):
             call()
@@ -299,41 +303,15 @@ class TestOneDegreeCap:
     @pytest.mark.parametrize("call", [
         lambda: theorem1_check(11),
         lambda: corollary1_check(11, 2),
-    ], ids=["theorem1", "corollary1"])
+        lambda: in_consequence_span(NcPoly.monomial(tuple(range(1, 12))), 11,
+                                    [SQUARE_COMMUTATOR]),
+    ], ids=["theorem1", "corollary1", "in-span"])
     def test_degree_11_refused(self, call):
         with pytest.raises(ValueError, match="degree 11 above cap 10"):
             call()
 
     def test_degree_7_runs(self):
         assert evaluation_kernel(7, CliffordPair.symbolic(2)).quotient_dim == 35
-
-
-def oracle_span_vectors(n, generators):
-    """The consequence span built term by term in the free algebra: every
-    injective renaming of a multilinearized generator's letters into 1..n,
-    surrounded by every ordered split of the remaining letters, as Fraction
-    coefficient vectors deduplicated up to scaling."""
-    words = multilinear_words(n)
-    seen, vecs = set(), []
-    for g in generators:
-        gm = multilinearize(g)
-        letters = sorted(gm.generators())
-        d = len(letters)
-        if d > n:
-            continue
-        for inj in itertools.permutations(range(1, n + 1), d):
-            inst = substitute_linear(gm, {letters[j]: NcPoly.gen(inj[j]) for j in range(d)})
-            rest = sorted(set(range(1, n + 1)) - set(inj))
-            for perm in itertools.permutations(rest):
-                for cut in range(len(rest) + 1):
-                    p = NcPoly.monomial(perm[:cut]) * inst * NcPoly.monomial(perm[cut:])
-                    vec = [p.coeff(w) for w in words]
-                    first = next(c for c in vec if c)
-                    key = tuple(c / first for c in vec)
-                    if key not in seen:
-                        seen.add(key)
-                        vecs.append(vec)
-    return vecs
 
 
 class TestSpanMatrix:
@@ -348,12 +326,15 @@ class TestSpanMatrix:
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_builder_matches_free_algebra_construction(self, name):
+        """The dense oracle builder against the term-by-term one, and the
+        per-partition rank against both."""
         gens = self.GENERATORS[name]
         for n in range(3, 6):
             oracle = oracle_span_vectors(n, gens)
-            span = structure._span_matrix(n, gens)
+            span = span_matrix(n, gens)
             assert span.shape == (len(oracle), math.factorial(n))
-            assert exact_rank(span.tolist()) == exact_rank(oracle)
+            assert exact_rank(span.tolist()) == exact_rank(oracle) == (
+                consequence_span_dim(n, gens).rank)
             primitive = set()
             for vec in oracle:
                 first = next(c for c in vec if c)
@@ -366,12 +347,14 @@ class TestSpanMatrix:
                 assert tuple(row) in primitive
 
     def test_below_generator_degree_is_empty(self):
-        assert structure._span_matrix(2, [SQUARE_COMMUTATOR]).shape == (0, 2)
+        assert span_matrix(2, [SQUARE_COMMUTATOR]).shape == (0, 2)
 
-    def test_coefficients_beyond_int64_rejected(self):
+    def test_coefficients_beyond_int64(self):
+        # the dense builder refuses them; the per-partition ranks are exact
         g = NcPoly({(1, 2): 2**64, (2, 1): 1})
         with pytest.raises(ValueError, match="int64"):
-            consequence_span_dim(3, [g])
+            span_matrix(3, [g])
+        assert consequence_span_dim(3, [g]).rank == exact_rank(oracle_span_vectors(3, [g])) == 6
 
 
 def record_block_ranks(monkeypatch) -> list:

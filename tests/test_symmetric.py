@@ -1,5 +1,6 @@
 """Young's seminormal form (weakid.symmetric) and the per-partition
-span-versus-kernel comparison built on it."""
+consequence spans built on it, against the term-by-term and dense n!-word
+oracles."""
 
 import functools
 import itertools
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 
 from weakid import structure, symmetric
-from weakid.linalg import PRIME
+from weakid.freealg import SQUARE_COMMUTATOR, NcPoly, multilinear_words, standard_poly
+from weakid.linalg import PRIME, certified_rank
 from weakid.parser import parse_poly
 from weakid.structure import corollary1_check, hook_dim, partitions, theorem1_check
 
-from oracles import dense_span_vs_kernel, perm_sign
+import oracles
+from oracles import dense_span_vs_kernel, perm_sign, span_matrix
 
 SHAPES = [lam for n in range(1, 7) for lam in partitions(n)]
 
@@ -53,8 +56,8 @@ def test_coxeter_relations(shape, p):
     """s_i^2 = 1, s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}, and s_i s_j = s_j s_i
     for |i - j| >= 2."""
     n = sum(shape)  # at most 6, so every p here is at least n
-    one = symmetric.identity(shape, p)
-    s = [symmetric.rho_permutation(shape, transposition(n, i), p) for i in range(1, n)]
+    one = oracles.identity(shape, p)
+    s = [oracles.rho_permutation(shape, transposition(n, i), p) for i in range(1, n)]
     for i, a in enumerate(s):
         assert (exact_product(a, a, p) == one).all()
         for j, b in enumerate(s):
@@ -72,23 +75,23 @@ def test_homomorphism_on_random_pairs(p):
         for shape in partitions(n):
             for _ in range(3):
                 s, t = rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)
-                got = exact_product(symmetric.rho_permutation(shape, s, p),
-                                    symmetric.rho_permutation(shape, t, p), p)
-                assert (got == symmetric.rho_permutation(shape, compose(s, t), p)).all()
+                got = exact_product(oracles.rho_permutation(shape, s, p),
+                                    oracles.rho_permutation(shape, t, p), p)
+                assert (got == oracles.rho_permutation(shape, compose(s, t), p)).all()
 
 
 def test_one_row_and_one_column_are_trivial_and_sign():
     for n in range(1, 6):
         for perm in itertools.permutations(range(1, n + 1)):
-            assert symmetric.rho_permutation((n,), perm, None).tolist() == [[1]]
-            assert symmetric.rho_permutation((1,) * n, perm, None).tolist() == [[perm_sign(perm)]]
+            assert oracles.rho_permutation((n,), perm, None).tolist() == [[1]]
+            assert oracles.rho_permutation((1,) * n, perm, None).tolist() == [[perm_sign(perm)]]
 
 
 def test_reduced_word_has_the_inversion_count():
     rng = random.Random(3)
     for n in range(1, 8):
         perm = rng.sample(range(1, n + 1), n)
-        word = symmetric.reduced_word(perm)
+        word = oracles.reduced_word(perm)
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         assert len(word) == inversions
         product = list(range(1, n + 1))
@@ -105,12 +108,12 @@ def test_restriction_is_block_diagonal(shape):
     for d in range(1, n + 1):
         terms = [(rng.sample(range(1, d + 1), d), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
                  for _ in range(3)]
-        whole = symmetric.rho_element(shape, [(t + list(range(d + 1, n + 1)), c) for t, c in terms],
-                                      None)
+        whole = oracles.rho_element(shape, [(t + list(range(d + 1, n + 1)), c) for t, c in terms],
+                                    None)
         want = np.zeros_like(whole)
         for start, mu in symmetric.restriction_blocks(shape, d):
             f = hook_dim(mu)
-            want[start:start + f, start:start + f] = symmetric.rho_element(mu, terms, None)
+            want[start:start + f, start:start + f] = oracles.rho_element(mu, terms, None)
         assert (whole == want).all()
 
 
@@ -122,7 +125,7 @@ def test_standard_polynomial_is_a_diagonal(shape):
     for m in range(1, n + 1):
         terms = [(list(perm) + list(range(m + 1, n + 1)), perm_sign(perm))
                  for perm in itertools.permutations(range(1, m + 1))]
-        got = symmetric.rho_element(shape, terms, PRIME)
+        got = oracles.rho_element(shape, terms, PRIME)
         column = [len({c for _, c in t[:m]}) == 1 for t in symmetric.standard_tableaux(shape)]
         assert (got == np.diag(column) * (math.factorial(m) % PRIME)).all()
 
@@ -195,3 +198,65 @@ def test_witness_needs_only_the_seeds_it_uses():
         theorem1_check(8, seeds=((2, 3, 5),))
     with pytest.raises(ValueError, match=r"witness of \(2, 2\) vanishes"):
         theorem1_check(4, seeds=((2, 0),))
+
+
+@pytest.mark.parametrize("p", [None, PRIME, 7], ids=["exact", "word-prime", "p=7"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trie_equals_term_by_term(n, p):
+    """rho_element along the word trie is the sum of the terms' rho, for
+    every shape of n: on random elements and on the whole of S_n."""
+    rng = random.Random(n)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    elements = [[(w, Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if p is None
+                  else rng.randint(-10**20, 10**20)) for w in rng.sample(perms, min(len(perms), k))]
+                for k in (1, 5, 30)]
+    if n < 6 or p is not None:  # term by term, S_6 takes 30 s in Fractions
+        elements.append([(w, perm_sign(w)) for w in perms])
+    for terms in elements:
+        got = symmetric.rho_element(terms, n, p)
+        assert list(got) == partitions(n)
+        for shape, block in got.items():
+            assert (block == oracles.rho_element(shape, terms, p)).all()
+
+
+def test_dense_standard_polynomial_generator():
+    """S_7 given as a polynomial, built along the trie, gives the report
+    of corollary1_check, where S_7 is never expanded."""
+    rep = structure.span_vs_kernel(7, 6, [SQUARE_COMMUTATOR, standard_poly(7)], "S_7 expanded")
+    want = corollary1_check(7, 6)
+    assert (rep.ok, rep.span.rank, rep.kernel.quotient_dim) == (
+        want.ok, want.span.rank, want.kernel.quotient_dim) == (True, 4809, 231)
+
+
+# the generator sets of consequence_span_dim and in_consequence_span
+# against the dense oracle: the six above, two with Fraction
+# coefficients, and standard polynomials of degree 5 and 6
+SPAN_SETS = {
+    **{name: texts for name, (texts, _) in GENERATOR_SETS.items()},
+    "fractions": ["3/4*x1*x2*x3 - 5/6*x3*x1*x2"],
+    "cubic square": ["2/3*[x1^3,x2]", "[x1^2,x2]"],
+    "S(5)": ["S(5)"],
+    "S(5)*x6": ["S(5)*x6"],
+}
+
+
+@pytest.mark.parametrize("name", SPAN_SETS)
+def test_span_and_membership_agree_with_the_dense_oracle(name):
+    gens = [parse_poly(g) for g in SPAN_SETS[name]]
+    rng = random.Random(name)
+    for n in range(2, 7):
+        span = span_matrix(n, gens).tolist()
+        rank = certified_rank(span) if span else 0
+        rep = structure.consequence_span_dim(n, gens)
+        assert (rep.rank, rep.kernel_dim) == (rank, math.factorial(n) - rank)
+        words = multilinear_words(n)
+        candidates = [standard_poly(n)]
+        if span:
+            # a combination of span rows, and the same off by one word
+            picks = rng.sample(span, min(3, len(span)))
+            row = [sum(rng.randint(1, 3) * r[j] for r in picks) for j in range(len(words))]
+            inside = NcPoly({w: c for w, c in zip(words, row) if c})
+            candidates += [inside, inside + NcPoly.monomial(rng.choice(words))]
+        for f in candidates[-2:] if n == 6 else candidates:
+            dense = certified_rank(span + [[int(f.coeff(w)) for w in words]]) == rank
+            assert structure.in_consequence_span(f, n, gens) == dense
