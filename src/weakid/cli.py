@@ -187,7 +187,7 @@ def _cmd_span(args):
 
 
 def _cmd_theorem1(args):
-    rep = structure.theorem1_check(args.n, seeds=args.seeds)
+    rep = structure.theorem1_check(args.n)
     return (
         {"n": args.n},
         asdict(rep),
@@ -197,7 +197,7 @@ def _cmd_theorem1(args):
 
 
 def _cmd_corollary1(args):
-    rep = structure.corollary1_check(args.n, args.k, seeds=args.seeds)
+    rep = structure.corollary1_check(args.n, args.k)
     return (
         {"n": args.n, "k": args.k},
         asdict(rep),
@@ -339,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds",
         type=str,
         default="default",
-        help="form values at which to spot-check the orbit sign matrix against "
+        help="form values at which dim spot-checks the orbit sign matrix against "
         "exact products of basis vectors: 'default', 'none', or lists like "
-        "'2,3,5;7,11,13'",
+        "'2,3,5;7,11,13'; the other commands only echo them",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

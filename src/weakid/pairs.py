@@ -250,8 +250,9 @@ def is_weak_identity(
     have more than parser.MAX_TERMS words (its terms times prod d_i! over
     its multidegree), is refused before it is polarized.  A degree-n
     component uses at most n basis labels, so on a symbolic clifford:k with
-    k > n it is decided as clifford:n: the same tuples, the same witness and
-    the same printed value, with no k-sized exponent vector.
+    k > n it is decided as clifford:n (clifford:1 for the constant
+    component): the same tuples, the same witness and the same printed
+    value, with no k-sized exponent vector.
     """
     if not isinstance(f, NcPoly):
         raise TypeError("expected an NcPoly")
@@ -270,7 +271,7 @@ def is_weak_identity(
                              f"above the cap {MAX_TERMS}")
         pair = target
         if isinstance(target, CliffordPair) and target.form.values is None and target.k > n:
-            pair = CliffordPair.symbolic(n)
+            pair = CliffordPair.symbolic(max(n, 1))
         w = _component_witness(multilinearize(comp), pair)
         if w is not None:
             return w

@@ -30,7 +30,6 @@ from .clifford import (
 # benchmark's traced run wraps this binding and counts its calls.
 from .clifford import word_sign_vector  # noqa: F401
 from .freealg import (
-    DEFAULT_DEGREE_CAP,
     NcPoly,
     SQUARE_COMMUTATOR,
     Word,
@@ -63,7 +62,6 @@ from .pairs import (
     _integer_rows,
     is_weak_identity,
 )
-from .scalars import ParamPoly
 from .symmetric import partitions
 
 Partition = tuple[int, ...]
@@ -303,11 +301,11 @@ class RankReport:
     bound) and proves the upper bound with a kernel basis lifted to integers
     and checked exactly, else ranks exactly.  A Clifford kernel is ranked
     through the Gram matrix of its orbit sign matrix, which has the same
-    rank.  A span's lam-rank may instead meet its bound modulo a prime,
-    and a span_vs_kernel kernel may come from those bounds (rows n!, cols
-    k^n, no matrix built).  seeds are the form values at which the orbit
-    sign matrix was spot-checked, or for a kernel from the bounds, at which
-    each witness was evaluated.
+    rank.  A span's lam-rank may instead meet its bound modulo a prime.
+    A span_vs_kernel kernel always comes from those bounds (rows n!, cols
+    k^n, no matrix built), so its seeds are empty; for evaluation_kernel
+    seeds are the form values at which the orbit sign matrix was
+    spot-checked.
     """
 
     degree: int
@@ -408,7 +406,7 @@ def evaluation_kernel(
         desc = "m2 (traceless substitution space)"
     else:
         raise TypeError(f"unknown pair target {target!r}")
-    k = target.form.k
+    k = min(target.form.k, n)  # a degree-n tuple holds at most n labels
     forms = [_seed_form(k, primes) for primes in seeds]
     signs = orbit_sign_matrix(words, k)
     rank = certified_rank(gram(signs))
@@ -554,17 +552,6 @@ def _block_rank(lam: Partition, gens: Sequence[_SpanGenerator], p: int | None) -
     return len(_echelon(np.vstack(blocks).astype(np.int32), p, reduced=False))
 
 
-def _witness_value(lam: Partition) -> ParamPoly:
-    """The coefficient of the value of lam's highest-weight vector
-    prod_j S_{c_j}(x_1..x_{c_j}) (c_j the column heights) at x_i -> e_i in
-    C_{l(lam)}.  Each factor is c_j! e_1...e_{c_j}, so the value is
-    prod c_j! times the product of the labels 1..c_1, 1..c_2, ...: a sign,
-    a q-monomial and a blade from basis_product, never zero."""
-    cols = conjugate_partition(lam)
-    sign, exps, _ = basis_product([i for c in cols for i in range(1, c + 1)], len(lam))
-    return ParamPoly.monomial(len(lam), exps, sign * prod(map(factorial, cols)))
-
-
 def _check_degree(n: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
@@ -573,10 +560,7 @@ def _check_degree(n: int) -> None:
 
 
 def _isotypic_ranks(
-    n: int,
-    k: int,
-    gens: Sequence[_SpanGenerator],
-    seeds: tuple[tuple[int, ...], ...] = (),
+    n: int, k: int, gens: Sequence[_SpanGenerator]
 ) -> tuple[bool, Iterator[IsotypicRow]]:
     """The consequence span of the generators at degree n, one partition
     of n at a time: whether every generator is a weak identity of
@@ -595,8 +579,10 @@ def _isotypic_ranks(
     - upper bound: m_lam(P_n/K) <= m_lam(P_n/span) <= f_lam - rank_p, the
       rank modulo SEMINORMAL_PRIME, with the span inside K;
     - lower bound: m_lam(P_n/K) >= [l(lam) <= k], as lam's highest-weight
-      vector is no weak identity (_witness_value); each seed gives values
-      to the q_i its witness holds, at which it must not vanish.
+      vector prod_j S_{c_j}(x_1..x_{c_j}) (c_j the column heights) is no
+      weak identity: at x_i -> e_i each factor is c_j! e_1...e_{c_j}, so
+      its value is +-prod c_j! times a q-monomial and a blade, nonzero at
+      every nonzero value of the q_i.
 
     So rank_p = f_lam - [l(lam) <= k] with the span inside K, or rank_p =
     f_lam, is the exact rank; any other partition is ranked exactly.  At
@@ -609,12 +595,6 @@ def _isotypic_ranks(
     def rows():
         for lam in partitions(n):
             f, witnessed = hook_dim(lam), int(len(lam) <= k)
-            if witnessed:
-                coeff = _witness_value(lam)
-                for values in seeds:
-                    if not coeff.specialize(values):
-                        raise ValueError(
-                            f"the witness of {lam} vanishes at the form values {values}")
             rank = _block_rank(lam, gens, SEMINORMAL_PRIME)
             if rank != (f - witnessed if containment else f):
                 rank = _block_rank(lam, gens, None)
@@ -660,51 +640,43 @@ def in_consequence_span(f: NcPoly, n: int, generators: Sequence[NcPoly]) -> bool
 
 
 def span_vs_kernel(
-    n: int,
-    k: int,
-    generators: Sequence[NcPoly],
-    target: str,
-    seeds: tuple[tuple[int, ...], ...] = (),
+    n: int, k: int, generators: Sequence[NcPoly], target: str
 ) -> SpanKernelReport:
     """Compare the degree-n multilinear consequence span of the generators
     with the multilinear weak identities K of the generic k-dimensional
     Clifford pair, one partition of n at a time; the predicted quotient is
     the hook-length sum over partitions of n with at most k rows."""
-    return _compare(n, k, _poly_generators(generators), target, seeds)
+    return _compare(n, k, _poly_generators(generators), target)
+
+
+def _corollary1_generators(k: int) -> list[_SpanGenerator]:
+    """[x1^2, x2] and S_{k+1}, whose consequences are K at k (Corollary 1)."""
+    return [_poly_generator(SQUARE_COMMUTATOR), _SpanGenerator(k + 1, None)]
 
 
 def _compare(
-    n: int,
-    k: int,
-    gens: Sequence[_SpanGenerator],
-    target: str,
-    seeds: tuple[tuple[int, ...], ...],
+    n: int, k: int, gens: Sequence[_SpanGenerator], target: str
 ) -> SpanKernelReport:
     """span_vs_kernel for generators already in _SpanGenerator form.
 
-    The span's partitions come from _isotypic_ranks.  When containment
-    holds and every rank meets its bound, span = K and the quotient is the
-    sum of f_lam over l(lam) <= k.  Otherwise the kernel is the dense
-    evaluation_kernel, up to degree DEFAULT_DEGREE_CAP; above it the first
-    partition where the bounds miss is named in a ValueError.
+    The span's partitions come from _isotypic_ranks.  K's come from the
+    same bounds, met by the span itself when it lies inside K and no rank
+    misses, else by the Corollary 1 generators: m_lam(P_n/K) = [l(lam) <= k],
+    so K has codimension the sum of f_lam over l(lam) <= k.  Where those
+    miss, the theorem or the rank code is wrong, and a ValueError names the
+    first partition.
     """
-    containment, rows = _isotypic_ranks(n, k, gens, seeds)
+    containment, rows = _isotypic_ranks(n, k, gens)
     table = list(rows)
-    missed = [row for row in table if row.multiplicity != row.witnessed]
     quotient = sum(row.dim for row in table if row.witnessed)
-    if containment and not missed:
-        kernel = _rank_report(n, f"clifford k={k} (symbolic q)", factorial(n), k ** n,
-                              quotient, seeds)
-    elif n <= DEFAULT_DEGREE_CAP:
-        kernel = evaluation_kernel(n, CliffordPair.symbolic(k), seeds=seeds)
-    elif not containment:
-        raise ValueError(f"a generator is not a weak identity of clifford:{k}, and the "
-                         f"kernel at degree {n} is not computed above {DEFAULT_DEGREE_CAP}")
-    else:
-        row = missed[0]
-        raise ValueError(f"at degree {n} the partition {row.partition} has multiplicity "
-                         f"{row.multiplicity} in P_n/span but {row.witnessed} witnessed in "
-                         f"P_n/K; the kernel is not computed above degree {DEFAULT_DEGREE_CAP}")
+    if not containment or any(row.multiplicity != row.witnessed for row in table):
+        holds, kernel_rows = _isotypic_ranks(n, k, _corollary1_generators(k))
+        for row in kernel_rows:
+            if not holds or row.multiplicity != row.witnessed:
+                raise ValueError(f"at degree {n} the partition {row.partition} has multiplicity "
+                                 f"{row.multiplicity} in P_n/span([x1^2,x2], S_{k + 1}) but "
+                                 f"{row.witnessed} witnessed in P_n/K; span in K: {holds}")
+    kernel = _rank_report(n, f"clifford k={k} (symbolic q)", factorial(n), k ** n, quotient)
     span = _span_report(n, target, gens, table)
     return SpanKernelReport(
         ok=containment and span.rank == kernel.kernel_dim,
@@ -717,31 +689,23 @@ def _compare(
     )
 
 
-def theorem1_check(n: int, seeds: tuple[tuple[int, ...], ...] = ()) -> SpanKernelReport:
+def theorem1_check(n: int) -> SpanKernelReport:
     """Check that the degree-n multilinear weak identities of the generic
     Clifford pair (k = n) are exactly the consequences of [x1^2, x2]; the
     predicted quotient is the number of involutions of n letters."""
     if n < 3:
         raise ValueError("the generator has degree 3; need n >= 3")
-    return _compare(n, n, [_poly_generator(SQUARE_COMMUTATOR)], "consequence span of [x1^2,x2]",
-                    seeds)
+    return _compare(n, n, [_poly_generator(SQUARE_COMMUTATOR)], "consequence span of [x1^2,x2]")
 
 
-def corollary1_check(
-    n: int, k: int, seeds: tuple[tuple[int, ...], ...] = ()
-) -> SpanKernelReport:
+def corollary1_check(n: int, k: int) -> SpanKernelReport:
     """Check that the degree-n multilinear weak identities of the generic
     k-dimensional Clifford pair are spanned by the consequences of
     [x1^2, x2] together with the standard polynomial S_{k+1}."""
     if k < 1:
         raise ValueError("k must be positive")
-    return _compare(
-        n,
-        k,
-        [_poly_generator(SQUARE_COMMUTATOR), _SpanGenerator(k + 1, None)],
-        f"consequence span of [x1^2,x2] and S_{k + 1}",
-        seeds,
-    )
+    return _compare(n, k, _corollary1_generators(k),
+                    f"consequence span of [x1^2,x2] and S_{k + 1}")
 
 
 # ---------------------------------------------------------------------------

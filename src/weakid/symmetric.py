@@ -168,9 +168,9 @@ def rho_element(terms: Iterable[tuple[Sequence[int], int | Fraction]], n: int,
     with n at place q, with n deleted; rho_lam(f_q) is block diagonal in the
     rho_mu(f_q), mu a partition of n - 1 (restriction_blocks), and one
     recursive call gives them for every mu at once."""
-    if n == 1:
+    if n <= 1:
         total = sum((c for _, c in terms), Fraction(0))
-        return {(1,): np.array([[_residue(total, p)]], dtype=_dtype(p))}
+        return {(1,) * n: np.array([[_residue(total, p)]], dtype=_dtype(p))}
     by_place: dict[int, list] = {}
     for perm, c in terms:
         q = perm.index(n)

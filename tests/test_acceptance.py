@@ -24,7 +24,6 @@ from weakid.freealg import (
 from weakid.pairs import CliffordPair, MatrixPair, is_weak_identity
 from weakid.parser import format_expr, parse_poly
 from weakid.structure import (
-    DEFAULT_SEEDS,
     corollary1_check,
     eq5_defect,
     eq6_defect,
@@ -133,7 +132,7 @@ def test_criterion_5_theorem1_desk_scale(capsys):
     n5_time = 0.0
     for n, (span_dim, quot) in want.items():
         t1 = time.monotonic()
-        rep = theorem1_check(n, seeds=DEFAULT_SEEDS)
+        rep = theorem1_check(n)
         if n == 5:
             n5_time = time.monotonic() - t1
         ok = ok and rep.ok and rep.containment_ok
@@ -149,7 +148,7 @@ def test_criterion_6_corollary1_desk_scale(capsys):
     t0 = time.monotonic()
     ok = True
     for n, k in [(3, 2), (4, 2), (4, 3), (5, 2)]:
-        rep = corollary1_check(n, k, seeds=DEFAULT_SEEDS)
+        rep = corollary1_check(n, k)
         predicted = sum(hook_dim(p) for p in partitions(n, max_rows=k))
         ok = ok and rep.ok and rep.kernel.quotient_dim == predicted
     # hook formula cross-checked by direct tableau enumeration up to n = 6

@@ -329,6 +329,17 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[1:] == ["  x1 -> e1", "  x2 -> e2",
                                                            "  value = 2*e{1,2}"]
 
+    @pytest.mark.parametrize("pair, expr, value", [
+        ("clifford:2", "1", "1"),
+        ("clifford:2", "1+x1", "1"),
+        ("clifford:5", "x1*x2+2", "2"),
+        ("m2", "1", "[[1, 0], [0, 1]]"),
+    ])
+    def test_constant_term_fails_with_its_value(self, capsys, pair, expr, value):
+        # the constant component has degree 0 and is decided on clifford:1
+        assert main(["check", "--pair", pair, expr]) == 1
+        assert capsys.readouterr().out == f"fails; witness:\n  value = {value}\n"
+
     def test_witness_value_beyond_int_str_digits(self, capsys):
         # 2^16000 has 4817 digits, above Python's default int-to-str cap of 4300
         with localcontext() as ctx:
@@ -411,6 +422,12 @@ class TestCli:
         assert main(["span", "--n", "4", "--gens", "0"]) == 0
         assert "span dim      0\nquotient dim  24\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n, gens, dim", [
+        (3, "3", 6), (4, "[x1^2,x2];1/2", 24), (1, "3", 1)])
+    def test_span_constant_generator_spans_everything(self, capsys, n, gens, dim):
+        assert main(["span", "--n", str(n), "--gens", gens]) == 0
+        assert f"span dim      {dim}\nquotient dim  0\n" in capsys.readouterr().out
+
     def test_span_degree_cap(self, capsys):
         assert main(["--seeds", "none", "span", "--n", "9", "--gens", "[x1^2,x2]"]) == 0
         assert "quotient dim  2620\n" in capsys.readouterr().out
@@ -473,6 +490,23 @@ class TestCli:
         # a negative form value, below the largest q-monomial in magnitude
         assert main(["--seeds=-256,3,5", "dim", "--n", "3", "--pair", "clifford:3"]) == 0
         assert "quotient dim  4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, k, quotient", [(3, 9, 4), (2, 99999999999, 2)])
+    def test_dim_clifford_above_the_degree_under_default_seeds(self, capsys, n, k, quotient):
+        # a degree-n tuple holds at most n labels: n primes of each seed list do
+        assert main(["dim", "--n", str(n), "--pair", f"clifford:{k}"]) == 0
+        out = capsys.readouterr().out
+        assert f"target        clifford k={k} (symbolic q)\n" in out
+        assert f"matrix        {math.factorial(n)} x {k ** n}\n" in out
+        assert f"quotient dim  {quotient}\n" in out
+
+    def test_seeds_only_echoed_by_theorem1(self, capsys):
+        # the seeds once had to give values to every q_i a witness contracts
+        assert main(["--seeds", "2,3,5", "theorem1", "--n", "8"]) == 0
+        assert "at degree 8: PASS" in capsys.readouterr().out
+        assert main(["--json", "--seeds", "2,3,5", "corollary1", "--n", "4", "--k", "2"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["seeds"] == [[2, 3, 5]] and rep["outcome"]["kernel"]["seeds"] == []
 
     def test_rank_degree_above_cap_exit_2(self, capsys):
         # --max-degree bounds expressions; dim stops at degree 7

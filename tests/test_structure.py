@@ -422,9 +422,34 @@ class TestSpanKernelCertificate:
         if gens == [SQUARE_COMMUTATOR]:
             assert missed == [lam for lam in partitions(n) if len(lam) > k]
 
-    def test_missed_bounds_above_degree_7_name_the_partition(self):
-        with pytest.raises(ValueError, match=r"partition \(1, 1, 1, 1, 1, 1, 1, 1\)"):
-            structure.span_vs_kernel(8, 7, [SQUARE_COMMUTATOR], "no S_8")
+    def test_missed_bounds_above_the_dense_cap_are_reported(self):
+        # K comes from the Corollary 1 generators' bounds at any degree
+        rep = structure.span_vs_kernel(8, 7, [SQUARE_COMMUTATOR], "no S_8")
+        assert not rep.ok and rep.containment_ok
+        missed = [row.partition for row in rep.isotypic if row.multiplicity != row.witnessed]
+        assert missed == [(1,) * 8]
+        assert (rep.span.rank, rep.kernel.kernel_dim) == (39556, 39557)
+
+    def test_failed_containment_above_the_dense_cap_is_reported(self):
+        rep = structure.span_vs_kernel(8, 3, [standard_poly(3)], "S_3")
+        assert not rep.ok and not rep.containment_ok
+        assert rep.span.rank == consequence_span_dim(8, [standard_poly(3)]).rank == 26962
+        assert rep.kernel.kernel_dim == 39997
+        assert rep.kernel.quotient_dim == sum(hook_dim(lam) for lam in partitions(8, max_rows=3))
+
+    def test_missed_kernel_bounds_name_the_partition(self, monkeypatch):
+        # without S_{k+1} the kernel's bounds miss: the theorem's premise is gone
+        monkeypatch.setattr(structure, "_corollary1_generators",
+                            lambda k: [structure._poly_generator(SQUARE_COMMUTATOR)])
+        with pytest.raises(ValueError, match=r"partition \(2, 1, 1\) has multiplicity 1"):
+            structure.span_vs_kernel(4, 2, [SQUARE_COMMUTATOR], "no S_3")
+        assert structure.span_vs_kernel(4, 4, [SQUARE_COMMUTATOR], "k = n").ok
+
+    def test_kernel_generators_outside_k_are_refused(self, monkeypatch):
+        monkeypatch.setattr(structure, "_corollary1_generators",
+                            lambda k: [structure._poly_generator(standard_poly(3))])
+        with pytest.raises(ValueError, match=r"partition \(4,\) .* span in K: False"):
+            structure.span_vs_kernel(4, 3, [SQUARE_COMMUTATOR], "no S_4")
 
 
 class TestEvaluationKernel:
@@ -471,8 +496,10 @@ class TestEvaluationKernel:
                     n, CliffordPair.symbolic(k), seeds=DEFAULT_SEEDS
                 )
                 assert rep.seeds == DEFAULT_SEEDS
-        with pytest.raises(ValueError, match="at least 4 primes"):
-            evaluation_kernel(3, CliffordPair.symbolic(4), seeds=((2, 3, 5),))
+        # a degree-3 tuple holds at most 3 labels, so clifford:4 needs 3 primes
+        assert evaluation_kernel(3, CliffordPair.symbolic(4), seeds=((2, 3, 5),)).rank == 4
+        with pytest.raises(ValueError, match="at least 3 primes"):
+            evaluation_kernel(3, CliffordPair.symbolic(4), seeds=((2, 3),))
 
     def test_seeds_add_no_rank(self, monkeypatch):
         calls = []
@@ -584,13 +611,13 @@ class TestEvaluationKernel:
 class TestTheorem1AndCorollary1:
     def test_theorem1_small(self):
         for n, span in [(3, 2), (4, 14)]:
-            rep = theorem1_check(n, seeds=DEFAULT_SEEDS)
+            rep = theorem1_check(n)
             assert rep.ok and rep.containment_ok
             assert rep.span.rank == span
             assert rep.kernel.quotient_dim == rep.predicted_quotient
 
     def test_corollary1_small(self):
-        rep = corollary1_check(3, 2, seeds=DEFAULT_SEEDS)
+        rep = corollary1_check(3, 2)
         assert rep.ok
         assert rep.kernel.kernel_dim == 3
         assert rep.kernel.quotient_dim == rep.predicted_quotient == 3

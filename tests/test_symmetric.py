@@ -189,17 +189,6 @@ def test_quotients_beyond_the_dense_cap():
     assert corollary1_check(9, 3).kernel.quotient_dim == 835
 
 
-def test_witness_needs_only_the_seeds_it_uses():
-    # the witnesses of degree 9 contract q_1..q_4 at most: eight primes do
-    assert max(sum(part >= 2 for part in lam) for lam in partitions(9)) == 4
-    rep = theorem1_check(6, seeds=((2, 3, 5),))
-    assert rep.kernel.seeds == ((2, 3, 5),)
-    with pytest.raises(ValueError, match="missing assignment for parameter q4"):
-        theorem1_check(8, seeds=((2, 3, 5),))
-    with pytest.raises(ValueError, match=r"witness of \(2, 2\) vanishes"):
-        theorem1_check(4, seeds=((2, 0),))
-
-
 @pytest.mark.parametrize("p", [None, PRIME, 7], ids=["exact", "word-prime", "p=7"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_trie_equals_term_by_term(n, p):
@@ -230,13 +219,15 @@ def test_dense_standard_polynomial_generator():
 
 # the generator sets of consequence_span_dim and in_consequence_span
 # against the dense oracle: the six above, two with Fraction
-# coefficients, and standard polynomials of degree 5 and 6
+# coefficients, standard polynomials of degree 5 and 6, and constants
 SPAN_SETS = {
     **{name: texts for name, (texts, _) in GENERATOR_SETS.items()},
     "fractions": ["3/4*x1*x2*x3 - 5/6*x3*x1*x2"],
     "cubic square": ["2/3*[x1^3,x2]", "[x1^2,x2]"],
     "S(5)": ["S(5)"],
     "S(5)*x6": ["S(5)*x6"],
+    "constant": ["3"],
+    "[x1^2,x2]; 1/2": ["[x1^2,x2]", "1/2"],
 }
 
 
