@@ -65,10 +65,14 @@ def _parse_seeds(spec: str):
         return DEFAULT_SEEDS
     if spec in ("none", ""):
         return ()
-    out = []
-    for part in spec.split(";"):
-        out.append(tuple(int(x) for x in part.split(",")))
-    return tuple(out)
+    return tuple(tuple(map(_seed, part.split(","))) for part in spec.split(";"))
+
+
+def _seed(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"{entry!r} is not an integer") from None
 
 
 def _parse_partition(spec: str) -> tuple[int, ...]:
@@ -421,8 +425,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(_dash_expression_last(list(sys.argv[1:] if argv is None else argv)))
     try:
         args.seeds = _parse_seeds(args.seeds)
-    except ValueError:
-        print("bad --seeds value", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: bad --seeds value {args.seeds!r}: {exc}", file=sys.stderr)
         return 2
     handler = _HANDLERS[args.command]
     start = time.monotonic()

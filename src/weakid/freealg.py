@@ -29,8 +29,9 @@ class NcPoly:
     Every instance keeps one invariant: the keys of ``terms`` are tuples of
     positive ints and its values are nonzero Fractions.  The public
     constructor checks its input against it; the operations below build
-    their results from polynomials that already hold it, through
-    ``_from_terms``, and check nothing again.
+    their results from polynomials that already hold it and check nothing
+    again: through ``_wrap`` where no two terms can cancel, through
+    ``_from_terms``, which drops zero values, where some can.
     """
 
     __slots__ = ("terms",)
@@ -58,8 +59,14 @@ class NcPoly:
         """A polynomial from a map whose keys are tuples of positive ints and
         whose values are Fractions.  Nothing is checked; zero values are
         dropped."""
+        return cls._wrap({w: c for w, c in terms.items() if c})
+
+    @classmethod
+    def _wrap(cls, terms: dict[Word, Fraction]) -> "NcPoly":
+        """A polynomial that takes terms as they are: a fresh dict whose keys
+        are tuples of positive ints and whose values are nonzero Fractions."""
         poly = cls.__new__(cls)
-        poly.terms = {w: c for w, c in terms.items() if c}
+        poly.terms = terms
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -119,13 +126,18 @@ class NcPoly:
         merged = dict(self.terms)
         for w, c in other.terms.items():
             prev = merged.get(w)
-            merged[w] = c if prev is None else prev + c
-        return NcPoly._from_terms(merged)
+            if prev is None:
+                merged[w] = c
+            elif total := prev + c:
+                merged[w] = total
+            else:
+                del merged[w]
+        return NcPoly._wrap(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NcPoly._from_terms({w: -c for w, c in self.terms.items()})
+        return NcPoly._wrap({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -140,16 +152,16 @@ class NcPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
-            return NcPoly._from_terms({w: c * s for w, c in self.terms.items()})
+            return NcPoly._wrap({w: c * s for w, c in self.terms.items()} if s else {})
         if not isinstance(other, NcPoly):
             return NotImplemented
         # a factor that is one word with coefficient 1 only extends the
-        # other's words: the general product below, without its Fraction
-        # products (y * S_n, S_n * y, d * S_n * e)
+        # other's words, which stay distinct: the general product below,
+        # without its Fraction products (y * S_n, S_n * y, d * S_n * e)
         if (w2 := _unit_word(other)) is not None:
-            return NcPoly._from_terms({w1 + w2: c1 for w1, c1 in self.terms.items()})
+            return NcPoly._wrap({w1 + w2: c1 for w1, c1 in self.terms.items()})
         if (w1 := _unit_word(self)) is not None:
-            return NcPoly._from_terms({w1 + w2: c2 for w2, c2 in other.terms.items()})
+            return NcPoly._wrap({w1 + w2: c2 for w2, c2 in other.terms.items()})
         out: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -242,14 +254,14 @@ def _alternating(letters: Sequence[int]) -> NcPoly:
     for m in range(2, len(letters) + 1):
         odd = [o ^ (a & 1) for a in range(m) for o in odd]
     signs = (Fraction(1), Fraction(-1))
-    return NcPoly._from_terms(
+    return NcPoly._wrap(
         {perm: signs[o] for perm, o in zip(itertools.permutations(letters), odd)}
     )
 
 
 def star(f: NcPoly) -> NcPoly:
     """Reversal involution: each word is reversed, coefficients unchanged."""
-    return NcPoly._from_terms({w[::-1]: c for w, c in f.terms.items()})
+    return NcPoly._wrap({w[::-1]: c for w, c in f.terms.items()})
 
 
 def multidegree(f: NcPoly) -> dict[int, int]:
@@ -273,9 +285,14 @@ def multidegree(f: NcPoly) -> dict[int, int]:
 def multihomogeneous_components(f: NcPoly) -> list[NcPoly]:
     """Split into multihomogeneous components, in degree-lex order of a witness word."""
     groups: dict[Word, dict[Word, Fraction]] = {}
+    prev = None
     for w, c in f.terms.items():
-        groups.setdefault(tuple(sorted(w)), {})[w] = c
-    comps = [NcPoly._from_terms(g) for g in groups.values()]
+        key = sorted(w)
+        if key != prev:  # words of one component mostly come in runs
+            prev = key
+            group = groups.setdefault(tuple(key), {})
+        group[w] = c
+    comps = [NcPoly._wrap(g) for g in groups.values()]
     comps.sort(key=lambda p: word_key(min(p.terms)))  # a component's words have one length
     return comps
 

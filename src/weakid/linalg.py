@@ -253,7 +253,7 @@ def gram(a) -> np.ndarray:
     for rows in _row_blocks(a):
         block = a[rows].astype(dtype)
         out += block.T @ block
-    return out.astype(np.int64) if dtype is np.float64 else out
+    return out if dtype is object else out.astype(np.int64, copy=False)
 
 
 def _in_kernel(a: np.ndarray, pivots: list[int], free: np.ndarray, x: np.ndarray,
@@ -271,7 +271,7 @@ def _in_kernel(a: np.ndarray, pivots: list[int], free: np.ndarray, x: np.ndarray
 
 
 def _product_dtype(a: np.ndarray, b: np.ndarray):
-    """float64, int64 or object: a tier in which a @ b is exact.
+    """float32, float64, int64 or object: a tier in which a @ b is exact.
 
     No partial sum exceeds the largest row sum of |a| times max|b|, nor
     max|a| times the largest column sum of |b|; the sums are taken over the
@@ -290,12 +290,14 @@ def _product_dtype(a: np.ndarray, b: np.ndarray):
 
 
 def _exact_dtype(bound: int):
-    """The tier for integer sums of magnitude at most bound: float64 below
-    2^53, where every such sum is an exactly represented float64; int64
-    below 2^61 (room for a bound rounded in float64); otherwise object, for
-    Python ints."""
+    """The tier for integer sums of magnitude at most bound: float32 below
+    2^24 and float64 below 2^53, where every such sum is an exactly
+    represented float; int64 below 2^61 (room for a bound rounded in
+    float64); otherwise object, for Python ints."""
     if bound >= 2**61:
         return object
+    if bound < 2**24:
+        return np.float32
     return np.float64 if bound < 2**53 else np.int64
 
 

@@ -16,6 +16,7 @@ value lies, so (M_2, sl_2) has the weak identities of (C_3, V_3) at that q.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -173,31 +174,56 @@ def _integer_rows(ml: NcPoly) -> tuple[np.ndarray, list[int], int]:
     renamed to 1..n in sorted order (an int array, one row per word), the
     coefficients times their common denominator den, and den."""
     letters = sorted(next(iter(ml.terms)))  # every word has the same letters
-    words = np.searchsorted(letters, np.array(list(ml.terms), dtype=np.intp)) + 1
-    den = lcm(*(c.denominator for c in ml.terms.values()))
+    shape = (len(ml.terms), len(letters))
+    flat = np.fromiter(itertools.chain.from_iterable(ml.terms), dtype=np.intp, count=prod(shape))
+    words = np.searchsorted(letters, flat.reshape(shape))
+    words += 1
+    coeffs = ml.terms.values()
+    den = lcm(*{c.denominator for c in coeffs})
     if den == 1:
-        return words, [c.numerator for c in ml.terms.values()], den
-    coeffs = [c.numerator * (den // c.denominator) for c in ml.terms.values()]
-    return words, coeffs, den
+        return words, [c.numerator for c in coeffs], den
+    return words, [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _multilinear(comp: NcPoly, max_degree: int) -> NcPoly:
+    """A multihomogeneous component, multilinearized; the component itself
+    when no letter repeats in it (S_n, A * S_n * B, a fresh monomial).
+
+    Its multidegree is read from one sorted word.  A component of degree
+    above max_degree, or one whose polarization could have more than
+    parser.MAX_TERMS words (its terms times prod d_i! over its
+    multidegree), is refused before it is polarized.
+    """
+    letters = sorted(next(iter(comp.terms)))  # every word has the component's multidegree
+    n = len(letters)
+    if n > max_degree:
+        raise ValueError(f"degree {n} above cap {max_degree}")
+    words = len(comp.terms) * prod(map(factorial, Counter(letters).values()))
+    if words > MAX_TERMS:
+        raise ValueError(f"polarizing a degree-{n} component can give {words} words, "
+                         f"above the cap {MAX_TERMS}")
+    return comp if words == len(comp.terms) else multilinearize(comp)
 
 
 #: Signs per block of the orbit search: words times representatives.
 ORBIT_BLOCK_ENTRIES = 1 << 22
 
 
-def _first_failing_orbit(ml: NcPoly, k: int) -> tuple[list[int], Fraction] | None:
-    """First basis tuple of e1..ek at which a multilinear polynomial is
-    nonzero, with its signed sum over den; None if there is none.
+def _first_failing_orbit(rows: tuple[np.ndarray, list[int], int],
+                         k: int) -> tuple[list[int], Fraction] | None:
+    """First basis tuple of e1..ek at which a multilinear polynomial, given
+    by its _integer_rows, is nonzero, with its signed sum over den; None if
+    there is none.
 
-    All words of ml are permutations of the same letters, so at a fixed
-    basis tuple every term evaluates to a common (nonzero) q-monomial and
-    blade times an integer sign; vanishing is a pure integer statement, and
-    it is enough to test one tuple per orbit of basis relabellings.  The
-    tuple holds one label per letter of ml in sorted order.  The orbits are
-    summed a block of ORBIT_BLOCK_ENTRIES signs at a time, and the search
-    stops at the first block with a nonzero sum.
+    All its words are permutations of the same letters, so at a fixed basis
+    tuple every term evaluates to a common (nonzero) q-monomial and blade
+    times an integer sign; vanishing is a pure integer statement, and it is
+    enough to test one tuple per orbit of basis relabellings.  The tuple
+    holds one label per letter in sorted order.  The orbits are summed a
+    block of ORBIT_BLOCK_ENTRIES signs at a time, and the search stops at
+    the first block with a nonzero sum.
     """
-    words, coeffs, den = _integer_rows(ml)
+    words, coeffs, den = rows
     # converted once, in a dtype narrow enough (int8 for most polynomials)
     # that _product_dtype bounds each block's sums with no pass over the row
     row = np.array([coeffs], dtype=_signed_dtype(max(map(abs, coeffs))))
@@ -219,7 +245,7 @@ def _component_witness(ml: NcPoly, target: PairTarget) -> Witness | None:
     witness, with its value: the signed sum times the tuple's q-monomial and
     blade, in C_k or, through phi, in M_2."""
     form = target.form
-    found = _first_failing_orbit(ml, form.k)
+    found = _first_failing_orbit(_integer_rows(ml), form.k)
     if found is None:
         return None
     rep, c = found
@@ -231,7 +257,7 @@ def _component_witness(ml: NcPoly, target: PairTarget) -> Witness | None:
         value = _M2_BLADES[blade] * coeff.constant_value()
         basis = substitution_basis(target)
         labels = [basis[i - 1][0] for i in rep]
-    assignment = dict(zip(sorted(ml.generators()), labels))
+    assignment = dict(zip(sorted(next(iter(ml.terms))), labels))
     return Witness(assignment=assignment, value=value, component=ml)
 
 
@@ -241,18 +267,16 @@ def is_weak_identity(
     """Decide whether f is a weak identity of the pair; None means it holds.
 
     Each multihomogeneous component must vanish separately (infinite ground
-    field), is multilinearized (valid in characteristic 0), and is evaluated
-    at every tuple of substitution-space basis elements (valid by
-    multilinearity).  The first nonzero evaluation, in the fixed enumeration
-    order, is returned as a witness.
+    field), is multilinearized (valid in characteristic 0) unless it is
+    multilinear already, and is evaluated at every tuple of
+    substitution-space basis elements (valid by multilinearity).  The first
+    nonzero evaluation, in the fixed enumeration order, is returned as a
+    witness.  Components past the caps of _multilinear are refused.
 
-    A component of degree above max_degree, or one whose polarization could
-    have more than parser.MAX_TERMS words (its terms times prod d_i! over
-    its multidegree), is refused before it is polarized.  A degree-n
-    component uses at most n basis labels, so on a symbolic clifford:k with
-    k > n it is decided as clifford:n (clifford:1 for the constant
-    component): the same tuples, the same witness and the same printed
-    value, with no k-sized exponent vector.
+    A degree-n component uses at most n basis labels, so on a symbolic
+    clifford:k with k > n it is decided as clifford:n (clifford:1 for the
+    constant component): the same tuples, the same witness and the same
+    printed value, with no k-sized exponent vector.
     """
     if not isinstance(f, NcPoly):
         raise TypeError("expected an NcPoly")
@@ -261,18 +285,12 @@ def is_weak_identity(
     if not isinstance(target, (CliffordPair, MatrixPair)):
         raise TypeError(f"unknown pair target {target!r}")
     for comp in multihomogeneous_components(f):
-        first = next(iter(comp.terms))  # every word has the component's multidegree
-        n = len(first)  # before polarization makes n! words
-        if n > max_degree:
-            raise ValueError(f"degree {n} above cap {max_degree}")
-        words = len(comp.terms) * prod(map(factorial, Counter(first).values()))
-        if words > MAX_TERMS:
-            raise ValueError(f"polarizing a degree-{n} component can give {words} words, "
-                             f"above the cap {MAX_TERMS}")
+        ml = _multilinear(comp, max_degree)
+        n = len(next(iter(ml.terms)))
         pair = target
         if isinstance(target, CliffordPair) and target.form.values is None and target.k > n:
             pair = CliffordPair.symbolic(max(n, 1))
-        w = _component_witness(multilinearize(comp), pair)
+        w = _component_witness(ml, pair)
         if w is not None:
             return w
     return None

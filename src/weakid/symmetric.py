@@ -115,19 +115,24 @@ def seminormal_generators(
     tableaux = standard_tableaux(shape)
     index = {t: j for j, t in enumerate(tableaux)}
     dtype = _dtype(p)
+    n = sum(shape)
+    # 1/r and 1 - 1/r^2 for each axial distance r = +-1..+-(n-1), made once
+    inverse = {r: _residue(Fraction(1, r), p) for r in range(1 - n, n) if r}
+    below = {r: _residue(1 - Fraction(1, r * r), p) for r in inverse}
+    zero, one = _residue(Fraction(0), p), _residue(Fraction(1), p)
     gens = []
-    for i in range(1, sum(shape)):
+    for i in range(1, n):
         diag, partner, coef = [], [], []
         for j, t in enumerate(tableaux):
             (r1, c1), (r2, c2) = t[i - 1], t[i]
             r = (c2 - r2) - (c1 - r1)
-            diag.append(_residue(Fraction(1, r), p))
+            diag.append(inverse[r])
             if r1 == r2 or c1 == c2:
                 partner.append(j)
-                coef.append(_residue(Fraction(0), p))
+                coef.append(zero)
             else:
                 partner.append(index[t[:i - 1] + (t[i], t[i - 1]) + t[i + 1:]])
-                coef.append(_residue(Fraction(1) if r1 < r2 else 1 - Fraction(1, r * r), p))
+                coef.append(one if r1 < r2 else below[r])
         arrays = (np.array(diag, dtype=dtype), np.array(partner, dtype=np.intp),
                   np.array(coef, dtype=dtype))
         for a in arrays:

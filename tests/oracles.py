@@ -4,9 +4,11 @@ Each is a plain, independent algorithm for a job that weakid does another
 way: dense Bareiss rank, the rank modulo a prime, Gauss-Jordan solving over
 Fractions, permutation signs from the cycle decomposition, random
 invertible substitutions for the GL-invariance tests, Young's seminormal
-form of a permutation and of a group-algebra element term by term, and the
-dense consequence span and span-versus-kernel comparison over all n!
-multilinear words.
+generators entry by entry, the seminormal form of a permutation and of a
+group-algebra element term by term, the decision procedure's integer rows
+and witnesses by full polarization and whole sign matrices, and the dense
+consequence span and span-versus-kernel comparison over all n! multilinear
+words.
 """
 
 from __future__ import annotations
@@ -19,9 +21,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from weakid import linalg, structure, symmetric
-from weakid.clifford import orbit_sign_matrix
-from weakid.freealg import NcPoly, multilinear_words, multilinearize, substitute_linear
-from weakid.pairs import CliffordPair, _integer_rows
+from weakid.clifford import (
+    CliffordElt,
+    evaluate,
+    orbit_representatives,
+    orbit_sign_matrix,
+)
+from weakid.freealg import (
+    NcPoly,
+    multihomogeneous_components,
+    multilinear_words,
+    multilinearize,
+    substitute_linear,
+)
+from weakid.pairs import CliffordPair
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -156,6 +169,32 @@ def identity(shape, p: int | None) -> np.ndarray:
         symmetric._dtype(p))
 
 
+def seminormal_generators(shape, p: int | None) -> list[tuple[np.ndarray, ...]]:
+    """rho(s_i) for i = 1..n-1 in the (diag, partner, coef) form of
+    symmetric.seminormal_generators, with one Fraction and one residue made
+    per entry."""
+    tableaux = symmetric.standard_tableaux(shape)
+    index = {t: j for j, t in enumerate(tableaux)}
+    gens = []
+    for i in range(1, sum(shape)):
+        diag, partner, coef = [], [], []
+        for j, t in enumerate(tableaux):
+            (r1, c1), (r2, c2) = t[i - 1], t[i]
+            r = (c2 - r2) - (c1 - r1)
+            diag.append(symmetric._residue(Fraction(1, r), p))
+            if r1 == r2 or c1 == c2:
+                partner.append(j)
+                coef.append(symmetric._residue(Fraction(0), p))
+            else:
+                partner.append(index[t[:i - 1] + (t[i], t[i - 1]) + t[i + 1:]])
+                a = Fraction(1) if r1 < r2 else 1 - Fraction(1, r * r)
+                coef.append(symmetric._residue(a, p))
+        gens.append((np.array(diag, dtype=symmetric._dtype(p)),
+                     np.array(partner, dtype=np.intp),
+                     np.array(coef, dtype=symmetric._dtype(p))))
+    return gens
+
+
 def rho_permutation(shape, perm: Sequence[int], p: int | None) -> np.ndarray:
     """rho_shape(perm) for a permutation of 1..n in one-line notation, as
     the product of the seminormal generators along a reduced word."""
@@ -176,6 +215,41 @@ def rho_element(shape, terms: Iterable[tuple[Sequence[int], int | Fraction]],
         else:
             out = (out + term * symmetric._residue(Fraction(c), p)) % p
     return out
+
+
+def integer_rows(ml: NcPoly) -> tuple[np.ndarray, list[int], int]:
+    """A multilinear polynomial as (words with the letters renamed to 1..n
+    in sorted order, integer coefficients, den), the coefficients being
+    ml's times den, the lcm of all of their denominators."""
+    letters = sorted(next(iter(ml.terms)))
+    words = np.searchsorted(letters, np.array(list(ml.terms), dtype=np.intp)) + 1
+    den = lcm(*(c.denominator for c in ml.terms.values()))
+    return words, [int(c * den) for c in ml.terms.values()], den
+
+
+def component_rows(f: NcPoly) -> list[tuple[np.ndarray, list[int], int]]:
+    """integer_rows of every multihomogeneous component of f, each one
+    multilinearized first, in the order of multihomogeneous_components."""
+    return [integer_rows(multilinearize(c)) for c in multihomogeneous_components(f)]
+
+
+def clifford_witness(f: NcPoly, k: int) -> tuple[dict[int, str], str] | None:
+    """The first failing basis tuple of the first failing component of f on
+    the symbolic clifford:k, as (assignment, printed value), or None if f is
+    a weak identity: the whole orbit sign matrix of each multilinearized
+    component times its integer coefficients, and the value at the first
+    nonzero representative by evaluation in C_k."""
+    form = CliffordPair.symbolic(k).form
+    for comp, (words, coeffs, _) in zip(multihomogeneous_components(f), component_rows(f)):
+        sums = linalg.exact_product([coeffs], orbit_sign_matrix(words, k))[0]
+        if sums.any():
+            rep = orbit_representatives(words.shape[1], k)[np.flatnonzero(sums)[0]]
+            ml = multilinearize(comp)
+            letters = sorted(ml.generators())
+            value = evaluate(ml, {g: CliffordElt.basis_vector(int(i), form)
+                                  for g, i in zip(letters, rep)}, form)
+            return {g: f"e{i}" for g, i in zip(letters, rep)}, str(value)
+    return None
 
 
 def _permutation_index(words: np.ndarray) -> np.ndarray:
@@ -235,7 +309,7 @@ def span_matrix(n: int, generators: Sequence[NcPoly]) -> np.ndarray:
     blocks = []  # per block of n! rows (a generator and a cut): its terms
     top = 0  # the largest coefficient magnitude
     for g in generators:
-        words, coeffs, _ = _integer_rows(multilinearize(g))
+        words, coeffs, _ = integer_rows(multilinearize(g))
         d = words.shape[1]
         if d > n:
             continue

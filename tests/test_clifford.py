@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -357,13 +358,26 @@ class TestOrbitSigns:
         assert np.array_equal(got, orbit_sign_matrix(words, 4)[sample])
         assert got.shape == (17, len(orbit_representatives(5, 4)))
 
+    def test_word_masks_take_one_byte_per_place(self):
+        # the letters' places at degree 8, 40320 words x 28 pairs, copied
+        # twice for the pair comparison: 18 MB in intp, 2.3 MB in uint8
+        words = np.array(list(itertools.permutations(range(1, 9))))
+        tracemalloc.start()
+        try:
+            block = next(clifford.orbit_sign_blocks(words, 3, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.tolist() == orbit_sign_matrix(words, 3)[:, :1].tolist()
+        assert peak < 8 * 2**20
+
     def test_empty_word(self):
         assert orbit_sign_matrix([()], 3).tolist() == [[1]]
 
     def test_exact_product_with_signs(self):
         signs = np.array([[1, -1], [1, 1], [-1, 1]], dtype=np.int8)
         small = exact_product([[3, 4, 5]], signs)
-        assert _product_dtype(np.array([[3, 4, 5]]), signs) == np.float64
+        assert _product_dtype(np.array([[3, 4, 5]]), signs) == np.float32
         assert small.dtype == np.int64 and small.tolist() == [[2, 6]]
         big = [2**62, 2**62, -(2**63)]
         assert _product_dtype(np.array([big]), signs) == object

@@ -104,6 +104,26 @@ def assert_clean(p: NcPoly):
     assert p == NcPoly(dict(p.terms))
 
 
+#: Few short words with small coefficients, so that sums and products often cancel.
+cancelling_polys = st.lists(
+    st.tuples(
+        st.lists(st.integers(1, 2), max_size=2).map(tuple),
+        st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2)]),
+    ),
+    max_size=5,
+).map(lambda items: NcPoly(dict(items)))
+#: One word with coefficient 1: the products that only extend words.
+unit_words = st.lists(st.integers(1, 2), max_size=2).map(NcPoly.monomial)
+
+
+def term_sum(a: dict, b: dict) -> dict:
+    """a + b term by term, with the zero sums left out."""
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
 class TestInvariant:
     @given(small_polys, small_polys, st.fractions(max_denominator=4), st.integers(-3, 3),
            st.integers(0, 3))
@@ -116,6 +136,17 @@ class TestInvariant:
         for p in results:
             assert_clean(p)
         assert (f - f).is_zero() and ((f + g) - g) == f
+
+    @given(cancelling_polys, cancelling_polys | unit_words)
+    def test_sums_and_products_drop_exactly_the_cancelled_terms(self, f, g):
+        """Each result holds the nonzero entries of its term-by-term sum, in
+        their order, and nothing else."""
+        neg = {w: -c for w, c in g.terms.items()}
+        for got, want in ((f + g, term_sum(f.terms, g.terms)), (f - g, term_sum(f.terms, neg)),
+                          (-g, term_sum({}, neg)), (f * g, general_product(f, g).terms),
+                          (g * f, general_product(g, f).terms)):
+            assert list(got.terms.items()) == list(want.items())
+            assert_clean(got)
 
     def test_cancellation(self):
         for p in (x1 * x2 - x2 * x1 + x2 * x1, x1 - x1, commutator(x1, x1),

@@ -1,3 +1,4 @@
+import collections
 import functools
 import importlib
 import itertools
@@ -10,16 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weakid import cli, clifford, pairs
 from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate, word_sign_vector
 from weakid.freealg import (
+    DEFAULT_DEGREE_CAP,
     SQUARE_COMMUTATOR,
     NcPoly,
     commutator,
     jordan,
+    multihomogeneous_components,
     multilinear_words,
     multilinearize,
     standard_poly,
@@ -39,6 +42,7 @@ from weakid.pairs import (
     substitution_basis,
 )
 
+import oracles
 from oracles import random_invertible_substitution, span_matrix
 
 x1, x2, x3 = NcPoly.gen(1), NcPoly.gen(2), NcPoly.gen(3)
@@ -334,6 +338,81 @@ class TestCliffordWitnessValue:
             assert w.value == want
             checked[symbolic] += 1
         assert min(checked.values()) > 20
+
+
+#: Coefficients of the decision inputs: small, fractional, and past int64.
+DECISION_COEFFS = (st.integers(-3, 3).filter(bool)
+                   | st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(2, 6))
+                   | st.sampled_from([2**63, -(2**64) + 1, Fraction(2**70, 3), Fraction(1, 2**65)]))
+
+
+@st.composite
+def decision_inputs(draw):
+    """Nonzero polynomials of degree at most 4: random words over x1..x4
+    (constants, repeated letters, mixed degrees), often a rearrangement of
+    the first word (a second term in its component), and often S(2), S(3)
+    or S(4), a multilinear component that holds on clifford:1, 2 or 3."""
+    words = st.lists(st.integers(1, 4), max_size=4).map(tuple)
+    terms = draw(st.lists(st.tuples(words, DECISION_COEFFS), max_size=4))
+    if terms and draw(st.booleans()):
+        terms.append((tuple(draw(st.permutations(terms[0][0]))), draw(DECISION_COEFFS)))
+    f = NcPoly(dict(terms))
+    if draw(st.booleans()):
+        f = f + standard_poly(draw(st.integers(2, 4))) * draw(DECISION_COEFFS)
+    assume(not f.is_zero())
+    return f
+
+
+def row_multiset(rows) -> collections.Counter:
+    """An integer-rows record as the multiset of (word, coefficient / den)."""
+    words, coeffs, den = rows
+    return collections.Counter((tuple(w), Fraction(c, den)) for w, c in zip(words.tolist(), coeffs))
+
+
+class TestComponentRows:
+    @settings(max_examples=120, deadline=None)
+    @given(f=decision_inputs(), k=st.sampled_from([1, 2, 3, 9]))
+    # two denominators in one component, multilinear and polarized
+    @example(f=NcPoly({(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 3)}), k=2)
+    @example(f=NcPoly({(1, 1, 2): Fraction(3, 4), (2, 1, 1): Fraction(-5, 6), (): 2}), k=9)
+    def test_rows_and_witness_match_the_polarizing_chain(self, f, k):
+        """Each component's record, taken straight from a multilinear one or
+        through multilinearize, and the witness equal those of polarizing
+        every component; clifford:9 is past every degree (k > n)."""
+        comps = multihomogeneous_components(f)
+        want = oracles.component_rows(f)
+        assert len(comps) == len(want)
+        for comp, rows in zip(comps, want):
+            got = pairs._integer_rows(pairs._multilinear(comp, DEFAULT_DEGREE_CAP))
+            assert row_multiset(got) == row_multiset(rows) and got[2] == rows[2]
+        w = is_weak_identity(f, CliffordPair.symbolic(k))
+        found = None if w is None else (w.assignment, str(w.value))
+        assert found == oracles.clifford_witness(f, k)
+
+    @pytest.mark.parametrize("pair, expr, code", [
+        ("clifford:4", "S(5)*x6", 0),
+        ("clifford:5", "S(6) + 5*x7*x8*x9*x10*x11*x12", 1),
+        ("m2", "y1*S(4)*y2", 0),
+    ])
+    def test_multilinear_components_are_not_polarized(self, monkeypatch, pair, expr, code):
+        calls = []
+        monkeypatch.setattr(pairs, "multilinearize", lambda f: calls.append(f))
+        assert cli.main(["check", "--pair", pair, expr]) == code
+        assert calls == []
+
+    @pytest.mark.parametrize("f, pair", [
+        (x1 * x1 * x2 + x3, CliffordPair.symbolic(1)),
+        (SQUARE_COMMUTATOR + Fraction(2, 3) * x3 * NcPoly.gen(4) * x3, CliffordPair.symbolic(2)),
+        (standard_poly(3) * NcPoly.gen(4), MatrixPair()),
+        (standard_poly(6) + NcPoly.monomial(range(7, 13), 5), CliffordPair.symbolic(5)),
+        (x1 * x2 * x1 - 2 * x1 * x1 * x2, CliffordPair.symbolic(3)),
+    ])
+    def test_witness_component_is_the_polarized_failing_component(self, f, pair):
+        failing = next(c for c in multihomogeneous_components(f)
+                       if is_weak_identity(c, pair) is not None)
+        w = is_weak_identity(f, pair)
+        assert w.component == multilinearize(failing)
+        assert set(w.assignment) == w.component.generators()
 
 
 def oracle_matrix_witness(ml: NcPoly):

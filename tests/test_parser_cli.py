@@ -491,6 +491,15 @@ class TestCli:
         assert main(["--seeds=-256,3,5", "dim", "--n", "3", "--pair", "clifford:3"]) == 0
         assert "quotient dim  4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec, entry", [
+        ("2,x", "x"), ("2,3,5;1/2", "1/2"), ("2,,3", ""), ("2,3,5;", ""),
+    ])
+    def test_bad_seeds_name_the_entry(self, capsys, spec, entry):
+        assert main(["--seeds", spec, "dim", "--n", "3", "--pair", "clifford:3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad --seeds value {spec!r}: {entry!r} is not an integer\n"
+
     @pytest.mark.parametrize("n, k, quotient", [(3, 9, 4), (2, 99999999999, 2)])
     def test_dim_clifford_above_the_degree_under_default_seeds(self, capsys, n, k, quotient):
         # a degree-n tuple holds at most n labels: n primes of each seed list do

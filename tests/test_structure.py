@@ -929,6 +929,17 @@ class TestExactProduct:
         b[0] = -1
         assert linalg.exact_product(a, b).tolist() == python_product(a.tolist(), b.tolist(), 3)
 
+    @pytest.mark.parametrize("row, tier", [
+        ([2**23, 2**23 - 1], np.float32),  # sums up to 2^24 - 1
+        ([2**23, 2**23], np.float64),  # up to 2^24, the first bound past float32
+        ([2**23, 2**23 + 1], np.float64),  # 2^24 + 1 is not a float32
+    ])
+    def test_float32_tier_edge(self, row, tier):
+        a, b = np.array([row]), np.array([[1, 1], [1, -1]])
+        assert linalg._product_dtype(a, b) is tier
+        got = linalg.exact_product(a, b)
+        assert got.dtype == np.int64 and got.tolist() == [[sum(row), row[0] - row[1]]]
+
     @pytest.mark.parametrize("block_rows", [1, 3])
     def test_any_row_block_size(self, monkeypatch, block_rows):
         monkeypatch.setattr(linalg, "BLOCK_ROWS", block_rows)
@@ -951,7 +962,7 @@ class TestExactProduct:
         for a, b in ((span, signs), (signs.T, span.T)):
             tracemalloc.start()
             try:
-                assert linalg._product_dtype(a, b) is np.float64
+                assert linalg._product_dtype(a, b) is np.float32
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -994,7 +1005,8 @@ class TestGram:
         assert linalg.certified_rank(got) == rank_bareiss(a.tolist())
 
     def test_tier_edges(self):
-        assert linalg._exact_dtype(2**53 - 1) is np.float64
+        assert linalg._exact_dtype(2**24 - 1) is np.float32
+        assert linalg._exact_dtype(2**24) is linalg._exact_dtype(2**53 - 1) is np.float64
         assert linalg._exact_dtype(2**53) is linalg._exact_dtype(2**61 - 1) is np.int64
         assert linalg._exact_dtype(2**61) is object
         # the entry (top + 1)^2 + top^2 is 2^53 + 2^27 + 1 (int64 tier), which
@@ -1003,6 +1015,10 @@ class TestGram:
         for top in (2**26, 2**31):
             a = np.array([[top + 1], [top]], dtype=np.int64)
             assert linalg.gram(a).tolist() == [[(top + 1) ** 2 + top**2]]
+        # bounds 2^24 - 2^13 + 1 (float32) and 2^24 (float64), both to int64
+        for top in (2**12 - 1, 2**12):
+            got = linalg.gram(np.array([[top]], dtype=np.int64))
+            assert got.dtype == np.int64 and got.tolist() == [[top**2]]
 
     def test_no_whole_matrix_copy(self):
         signs = orbit_sign_matrix(multilinear_words(7), 3)  # 5040 x 365 int8

@@ -130,6 +130,19 @@ def test_standard_polynomial_is_a_diagonal(shape):
         assert (got == np.diag(column) * (math.factorial(m) % PRIME)).all()
 
 
+@pytest.mark.parametrize("p", [PRIME, 7, None], ids=["prime", "7", "fractions"])
+def test_generators_equal_the_per_entry_construction(p):
+    """The residues looked up per axial distance are those made per entry,
+    for every shape up to n = 7."""
+    for shape in (lam for n in range(1, 8) for lam in partitions(n)):
+        got = symmetric.seminormal_generators(shape, p)
+        want = oracles.seminormal_generators(shape, p)
+        assert len(got) == len(want) == sum(shape) - 1
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
 def test_caches_are_read_only():
     for diag, partner, coef in symmetric.seminormal_generators((3, 2), PRIME):
         for a in (diag, partner, coef):
