@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import structure
-from .freealg import DEFAULT_DEGREE_CAP, NcPoly, _alternating
+from .freealg import DEFAULT_DEGREE_CAP, NcPoly, _alternating, _unit_word
 from .pairs import CliffordPair, MatrixPair, Witness, is_weak_identity
 from .parser import ParseError, format_expr, parse_poly, var_name
 from .structure import DEFAULT_SEEDS, RankReport, SpanKernelReport
@@ -82,28 +82,17 @@ def _parse_partition(spec: str) -> tuple[int, ...]:
     return tuple(int(x) for x in spec.split(","))
 
 
-_VAR_RE = re.compile(r"([xy])(\d+)")
-
-
-def _parse_interleaved_word(spec: str, n: int) -> tuple[int, ...]:
-    """Monomial for `factor --ys`: x<j> maps to j (j <= n), y<j> to n+j."""
-    spec = spec.strip()
-    cleaned = spec.replace("*", "")
-    pos = 0
-    word = []
-    while pos < len(cleaned):
-        m = _VAR_RE.match(cleaned, pos)
-        if not m:
-            raise ValueError(f"bad interleaved monomial {spec!r}")
-        num = int(m.group(2))
-        if m.group(1) == "x":
-            if not 1 <= num <= n:
-                raise ValueError(f"x{num} out of range 1..{n} in {spec!r}")
-            word.append(num)
-        else:
-            word.append(n + num)
-        pos = m.end()
-    return tuple(word)
+def _interleaved_word(entry: str, n: int, max_degree: int) -> tuple[int, ...]:
+    """One `factor --ys` entry, a word with coefficient 1 in the parser's
+    syntax (empty for the trivial word): x<j> maps to j (j <= n), y<j> to n+j."""
+    f = parse_poly(entry, max_degree=max_degree) if entry.strip() else NcPoly.one()
+    word = _unit_word(f)
+    if word is None:
+        raise ValueError(f"--ys entry {entry!r} is not one word with coefficient 1")
+    bad = next((g for g in word if g % 2 and g > 2 * n), None)
+    if bad is not None:
+        raise ValueError(f"{var_name(bad)} out of range x1..x{n} in {entry!r}")
+    return tuple((g + 1) // 2 if g % 2 else n + g // 2 for g in word)
 
 
 def _remap(f: NcPoly, mapping: dict[int, int]) -> NcPoly:
@@ -212,7 +201,13 @@ def _cmd_corollary1(args):
     )
 
 
+def _check_degree(degree: int, max_degree: int) -> None:
+    if degree > max_degree:  # refused before anything of that degree is built
+        raise ValueError(f"degree {degree} above cap {max_degree}")
+
+
 def _cmd_lemma2(args):
+    _check_degree(args.n + 1, args.max_degree)
     co = structure.lemma2_coeffs(args.n, args.k)
     defect = structure.eq5_defect(args.n, args.k)
     holds = is_weak_identity(
@@ -232,6 +227,7 @@ def _cmd_lemma2(args):
 
 
 def _cmd_lemma1(args):
+    _check_degree(args.n + 2, args.max_degree)
     pairs = structure.lemma1_decompose(args.n)
     defect = structure.lemma1_defect(args.n)
     holds = (
@@ -257,7 +253,7 @@ def _cmd_lemma1(args):
 
 def _cmd_factor(args):
     ys = [
-        _parse_interleaved_word(w, args.n)
+        _interleaved_word(w, args.n, args.max_degree)
         for w in (args.ys.split(",") if args.ys else [""] * (args.n - 1))
     ]
     fac = structure.factor_through_standard(args.n, ys)
@@ -286,8 +282,7 @@ def _cmd_factor(args):
 def _cmd_standard(args):
     if args.n < 1:
         raise ValueError("standard polynomial needs n >= 1")
-    if args.n > args.max_degree:  # S_n has n! words: refuse before building them
-        raise ValueError(f"degree {args.n} above cap {args.max_degree}")
+    _check_degree(args.n, args.max_degree)  # S_n has n! words
     # S_n in the surface variables x1..xn, the odd generator indices
     text = format_expr(_alternating(range(1, 2 * args.n, 2)))
     return {"n": args.n}, {"expr": text}, [text], 0
@@ -380,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ys",
         default="",
-        help="comma-separated interleaved monomials, e.g. 'y1,y2' or 'x1'; "
-        "empty entries are the trivial monomial",
+        help="comma-separated interleaved words in the expression syntax, e.g. "
+        "'y1*y3,y2', 'y1^2' or 'x1'; empty entries are the trivial word",
     )
 
     p = sub.add_parser("standard", help="print the standard polynomial S_n")

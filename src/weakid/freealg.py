@@ -189,23 +189,10 @@ class NcPoly:
         return out
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            letters = "".join(f"x{i}" for i in w) or "1"
-            if c == 1 and w:
-                parts.append(letters)
-            elif c == -1 and w:
-                parts.append("-" + letters)
-            elif not w:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*{letters}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        """The parser's form, with x/y names: parse_poly reads it back."""
+        from .parser import format_expr  # parser builds on this module
+
+        return format_expr(self)
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"

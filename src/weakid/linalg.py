@@ -18,9 +18,9 @@ PRIME = 2**31 - 1
 #: A second prime below 2^31, for a Chinese-remainder lift in certified_rank.
 PRIME2 = 2**31 - 19
 
-#: Rows per block: of a pivot step, of a reduction modulo p, of a product.
+#: Rows per block: of a pivot step, of a reduction modulo p, of a kernel check.
 BLOCK_ROWS = 128
-#: Entries per block of the large operand of a product with few rows.
+#: Entries of b per inner block of a product a @ b.
 BLOCK_ENTRIES = 1 << 16
 #: Bound on the entries of a lifted kernel vector, so that they fit in int64.
 LIFT_LIMIT = 1 << 62
@@ -215,52 +215,40 @@ def _lift(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 def exact_product(a, b) -> np.ndarray:
     """Exact ``a @ b`` for integer matrices, as int64 or Python ints (object),
-    in the tier of _product_dtype.  With BLOCK_ROWS rows or more, a is
-    converted one row block at a time and b once; with fewer (a coefficient
-    row against a sign matrix), b is converted BLOCK_ENTRIES entries of its
-    rows at a time and the partial products are summed in the tier, whose
-    bound holds for every partial sum."""
+    in the tier of _product_dtype.  The inner dimension is taken
+    BLOCK_ENTRIES // cols rows of b at a time, with the matching columns of
+    a, so neither operand is converted whole; the partial products are
+    summed in the tier, whose bound holds for every partial sum."""
     a, b = _integer_matrix(a), _integer_matrix(b)
     dtype = _product_dtype(a, b)
-    if a.shape[0] < BLOCK_ROWS:
-        a = a.astype(dtype)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
-        step = max(1, BLOCK_ENTRIES // max(1, b.shape[1]))
-        for start in range(0, b.shape[0], step):
-            inner = slice(start, start + step)
-            out += a[:, inner] @ b[inner].astype(dtype)
-        return out if dtype is object else out.astype(np.int64, copy=False)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=object if dtype is object else np.int64)
-    b = b.astype(dtype)
-    for rows in _row_blocks(a):
-        out[rows] = a[rows].astype(dtype) @ b
-    return out
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
+    step = max(1, BLOCK_ENTRIES // max(1, b.shape[1]))
+    for start in range(0, b.shape[0], step):
+        inner = slice(start, start + step)
+        out += a[:, inner].astype(dtype) @ b[inner].astype(dtype)
+    return out if dtype is object else out.astype(np.int64, copy=False)
 
 
 def gram(a) -> np.ndarray:
     """Exact a^T a for an integer matrix, as int64 or Python ints (object).
 
     It has the rank of a over Q (a^T a x = 0 gives |a x|^2 = 0), and its
-    kernel vectors are those of a.  Summed over row blocks of a, in the tier
-    of the bound max|a|^2 * rows on every partial sum, which _magnitude
-    takes from the dtype alone for 8- and 16-bit a.
+    kernel vectors are those of a.  For 8- and 16-bit a, _product_dtype
+    takes the tier from the dtype bound max|a|^2 * rows, with no pass over a.
     """
     a = _integer_matrix(a)
-    if a.size == 0:
-        return np.zeros((a.shape[1], a.shape[1]), dtype=np.int64)
-    dtype = _exact_dtype(_magnitude(a) ** 2 * a.shape[0])
-    out = np.zeros((a.shape[1], a.shape[1]), dtype=dtype)
-    for rows in _row_blocks(a):
-        block = a[rows].astype(dtype)
-        out += block.T @ block
-    return out if dtype is object else out.astype(np.int64, copy=False)
+    return exact_product(a.T, a)
 
 
 def _in_kernel(a: np.ndarray, pivots: list[int], free: np.ndarray, x: np.ndarray,
                scales: np.ndarray) -> bool:
     """Whether a @ X == 0 exactly, for X with rows x at the pivot columns
     and diag(scales) at the free columns, in row blocks, in the tier of a
-    times x stacked over the scales (the same column sums as X)."""
+    times x stacked over the scales (the same column sums as X).
+
+    Not one exact_product of a and X: that would multiply the free columns
+    by the diagonal block too, where this loop adds them elementwise, and
+    it made a kernel-cell pass slower."""
     dtype = _product_dtype(a, np.vstack([x, scales]))
     x, scales = x.astype(dtype), scales.astype(dtype)
     for rows in _row_blocks(a):

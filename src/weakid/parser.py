@@ -23,9 +23,10 @@ coefficients is refused unexpanded.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, lcm, prod
 
-from .freealg import NcPoly, Word, _alternating, commutator, jordan, word_key
+from .freealg import NcPoly, Word, _alternating, commutator, jordan
 
 # AST nodes: ("num", Fraction) | ("var", index) | ("sum", ((+-1, a), ...))
 # | ("prod", (a, b, ...)) | ("pow", a, exponent) | ("comm", a, b)
@@ -277,17 +278,8 @@ def parse_poly(text: str, max_degree: int | None = None) -> NcPoly:
 
 
 def _format_word(w: Word) -> str:
-    parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        run = j - i
-        name = var_name(w[i])
-        parts.append(name if run == 1 else f"{name}^{run}")
-        i = j
-    return "*".join(parts)
+    runs = [(var_name(g), len(list(run))) for g, run in groupby(w)]
+    return "*".join(name if size == 1 else f"{name}^{size}" for name, size in runs)
 
 
 def format_expr(f: NcPoly) -> str:
@@ -295,7 +287,7 @@ def format_expr(f: NcPoly) -> str:
     if f.is_zero():
         return "0"
     pieces = []
-    for w, c in sorted(f.terms.items(), key=lambda t: word_key(t[0])):
+    for w, c in f.sorted_terms():
         neg = c < 0
         mag = -c if neg else c
         word = _format_word(w)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from . import symmetric
 from .clifford import (
     FormParams,
     basis_product,
-    blade_str,
     orbit_representatives,
     orbit_sign_matrix,
 )
@@ -66,9 +65,9 @@ from .symmetric import partitions
 
 Partition = tuple[int, ...]
 
-#: Deterministic prime specializations of the form parameters, at which
-#: evaluation_kernel spot-checks the orbit sign matrix against products of
-#: basis vectors with those values.
+#: Deterministic prime specializations of the form parameters.  Each list
+#: makes evaluation_kernel spot-check one sample of the orbit sign matrix
+#: against products of basis vectors; the values themselves cancel there.
 DEFAULT_SEEDS = (
     (2, 3, 5, 7, 11, 13, 17, 19),
     (23, 29, 31, 37, 41, 43, 47, 53),
@@ -326,12 +325,6 @@ def _rank_report(
     return RankReport(n, target, rows, cols, rank, kernel_dim, rank, tuple(map(tuple, seeds)))
 
 
-def _seed_form(k: int, primes: Sequence[int]) -> FormParams:
-    if len(primes) < k:
-        raise ValueError(f"seed list must provide at least {k} primes")
-    return FormParams(k, tuple(primes[:k]))
-
-
 def _relabelled_prediction(sign: int, rep: list[int], t: list[int], k: int) -> tuple:
     """The orbit sign matrix's (sign, q-exponents, blade) for a word at the
     tuple t, a relabelling of the representative rep where the word has the
@@ -342,38 +335,29 @@ def _relabelled_prediction(sign: int, rep: list[int], t: list[int], k: int) -> t
 
 
 def _spot_check_orbit_signs(
-    words: Sequence[Word], signs: np.ndarray, form: FormParams, rng: random.Random
+    words: Sequence[Word], signs: np.ndarray, k: int, rng: random.Random
 ) -> None:
-    """Multiply out sampled (word, tuple) pairs at explicit form values and
-    compare with the orbit prediction.
+    """Multiply out sampled (word, tuple) pairs and compare each with the
+    orbit prediction, as (sign, q-exponents, blade) triples.
 
     Each sampled tuple is its representative relabelled by a random
-    permutation of 1..k, so most samples are not representatives.  Both
-    sides are Fractions at the form values, with only the q_i that occur
-    multiplied in.
+    permutation of 1..k, so most samples are not representatives.  No form
+    value is multiplied in: both sides have the q-exponents and blade of
+    the tuple, so the values would scale them alike.
     """
-    k = form.k
     reps = orbit_representatives(len(words[0]), k)
-    cells = rng.sample(range(signs.size), min(64, signs.size))
-    for cell in cells:
+    for cell in rng.sample(range(signs.size), min(64, signs.size)):
         i, j = divmod(cell, signs.shape[1])
         rep = [int(r) for r in reps[j]]
         relabel = rng.sample(range(1, k + 1), k)
         t = [relabel[r - 1] for r in rep]
-        terms = (_relabelled_prediction(int(signs[i, j]), rep, t, k),
-                 basis_product([t[g - 1] for g in words[i]], k))
-        want, got = [(prod((v ** e for v, e in zip(form.values, exps) if e), start=Fraction(s)), b)
-                     for s, exps, b in terms]
+        want = _relabelled_prediction(int(signs[i, j]), rep, t, k)
+        got = basis_product([t[g - 1] for g in words[i]], k)
         if got != want:
             raise ArithmeticError(
-                f"word {words[i]} at basis tuple {tuple(t)} with form values "
-                f"{form.values} evaluates to {_term_str(*got)}, "
-                f"orbit sign matrix predicts {_term_str(*want)}"
+                f"word {words[i]} at basis tuple {tuple(t)} evaluates to "
+                f"(sign, q-exponents, blade) {got}, orbit sign matrix predicts {want}"
             )
-
-
-def _term_str(coeff: Fraction, blade: int) -> str:
-    return f"{coeff}*{blade_str(blade)}" if blade else str(coeff)
 
 
 def evaluation_kernel(
@@ -388,13 +372,14 @@ def evaluation_kernel(
     of basis tuples under relabelling (the other columns repeat these up to
     sign).  That matrix S is dense +-1 with far more rows than rank, so the
     rank is taken of its Gram matrix S^T S instead: the same rank over Q and
-    the same kernel vectors, which certify it.  Scaling a column by a
-    nonzero q-monomial keeps the rank, so each requested specialization of
-    the form values (seeds) checks the factorization itself: a sample of
-    sign matrix entries is compared with the products of basis vectors at
-    those values, multiplied out exactly.  The M2 pair ranks the same sign
-    matrix at k = 3, as its n! x 4 * 3^n entry matrix is phi of that of
-    clifford:3 (see ``pairs``), and takes no seeds.
+    the same kernel vectors, which certify it.  Each requested list of
+    form values (seeds) spot-checks the factorization itself: a sample of
+    sign matrix entries is compared with products of basis vectors,
+    multiplied out as (sign, q-exponents, blade) triples.  The values are
+    validated but not multiplied in, as they would scale both sides alike.
+    The M2 pair ranks the same sign matrix at k = 3, as its n! x 4 * 3^n
+    entry matrix is phi of that of clifford:3 (see ``pairs``), and takes no
+    seeds.
     """
     words = multilinear_words(n)
     nfact = len(words)
@@ -407,12 +392,15 @@ def evaluation_kernel(
     else:
         raise TypeError(f"unknown pair target {target!r}")
     k = min(target.form.k, n)  # a degree-n tuple holds at most n labels
-    forms = [_seed_form(k, primes) for primes in seeds]
+    for primes in seeds:  # validated, though the values cancel in the check
+        if len(primes) < k:
+            raise ValueError(f"seed list must provide at least {k} primes")
+        FormParams(k, tuple(primes[:k]))
     signs = orbit_sign_matrix(words, k)
     rank = certified_rank(gram(signs))
     rng = random.Random(0)
-    for form in forms:
-        _spot_check_orbit_signs(words, signs, form, rng)
+    for _ in seeds:
+        _spot_check_orbit_signs(words, signs, k, rng)
     return _rank_report(n, desc, nfact, cols, rank, seeds)
 
 

@@ -21,6 +21,7 @@ from weakid.freealg import (
     substitute_linear,
     word_key,
 )
+from weakid.parser import parse_poly
 
 from oracles import perm_sign
 
@@ -161,6 +162,31 @@ class TestInvariant:
         f = (x1 + 2 * x2) ** 3 - x1 * x2 * x1
         assert_clean(substitute_linear(f, {1: x2 - x3, 2: x3 + x2}))
         assert_clean(substitute_linear(f, {1: x2, 2: -x2 * Fraction(1, 2)}))
+
+
+#: Polynomials in x1..x3 and y1..y3 (generators 1..6): words made of runs
+#: of one letter (printed as powers), the empty word (a constant term) and
+#: Fraction coefficients.
+printed_polys = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=3).map(
+            lambda runs: tuple(g for g, size in runs for _ in range(size))),
+        st.fractions(max_denominator=9),
+    ),
+    max_size=5,
+).map(lambda items: NcPoly(dict(items)))
+
+
+class TestStr:
+    @given(printed_polys)
+    def test_parses_back(self, f):
+        assert parse_poly(str(f)) == f
+        assert repr(f) == f"NcPoly({f})"
+
+    def test_input_names(self):
+        f = parse_poly("y1*x2^2 - 3/2*x1")
+        assert str(f) == "-3/2*x1 + y1*x2^2"
+        assert str(NcPoly.zero()) == "0" and str(NcPoly.one() * 5) == "5"
 
 
 class TestBrackets:

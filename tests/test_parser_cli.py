@@ -457,6 +457,52 @@ class TestCli:
         out = capsys.readouterr().out
         assert "two-sided" in out and "verified" in out
 
+    @pytest.mark.parametrize("entry, plain", [
+        ("y1^2", "y1*y1"), ("(y2)", "y2"), (" y1 * y3 ", "y1*y3"), ("x1^2", "x1*x1"),
+        ("1", ""),
+    ])
+    def test_factor_ys_take_the_expression_syntax(self, capsys, entry, plain):
+        outcomes = []
+        for ys in (f"{entry},", f"{plain},"):
+            assert main(["--json", "factor", "--n", "3", "--ys", ys]) == 0
+            outcomes.append(json.loads(capsys.readouterr().out)["outcome"])
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("ys, message", [
+        ("y1+y2,y1", "--ys entry 'y1+y2' is not one word with coefficient 1"),
+        ("2*y1,y1", "--ys entry '2*y1' is not one word with coefficient 1"),
+        ("0,y1", "--ys entry '0' is not one word with coefficient 1"),
+        ("y1*x4,", "x4 out of range x1..x3 in 'y1*x4'"),
+        ("y1^100000000,y1", "expression degree can reach 100000000, above the cap 7"),
+    ])
+    def test_factor_ys_refused(self, capsys, ys, message):
+        start = time.monotonic()
+        assert main(["factor", "--n", "3", "--ys", ys]) == 2
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, degree", [
+        (["lemma2", "--n", "10", "--k", "3"], 11),
+        (["lemma1", "--n", "14"], 16),
+    ])
+    def test_lemma_above_cap_exit_2_before_the_defect(self, capsys, monkeypatch, argv, degree):
+        def forbidden(*args):
+            raise AssertionError("the lemma was built")
+
+        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
+        for name in ("lemma2_coeffs", "eq5_defect", "lemma1_decompose", "lemma1_defect"):
+            monkeypatch.setattr(cli.structure, name, forbidden)
+        start = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().err == f"error: degree {degree} above cap 7\n"
+
+    def test_lemma_at_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
+        assert main(["lemma2", "--n", "6", "--k", "3"]) == 0  # a degree-7 defect
+        assert main(["lemma1", "--n", "5"]) == 0
+        assert capsys.readouterr().out.count("defect is a weak identity: yes") == 2
+
     def test_standard(self, capsys):
         assert main(["standard", "--n", "2"]) == 0
         assert capsys.readouterr().out.strip() == "x1*x2 - x2*x1"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -522,6 +523,15 @@ class TestEvaluationKernel:
         )
         assert rep.rank == 51
 
+    def test_seed_values_cancel(self):
+        # two different seed lists, and none: the same report but the echo
+        unseeded = evaluation_kernel(5, CliffordPair.symbolic(4))
+        for seeds in (DEFAULT_SEEDS, ((1999, -7, Fraction(2, 9), 5),)):
+            rep = evaluation_kernel(5, CliffordPair.symbolic(4), seeds=seeds)
+            assert rep.seeds == seeds
+            assert dataclasses.replace(rep, seeds=()) == unseeded
+        assert unseeded.rank == sum(hook_dim(p) for p in partitions(5, max_rows=4))
+
     def test_seed_spot_check_catches_a_wrong_sign(self, monkeypatch):
         import numpy as np
 
@@ -1003,6 +1013,25 @@ class TestGram:
         assert got.dtype in (np.int64, object) and got.shape == (a.shape[1], a.shape[1])
         assert got.tolist() == python_product(a.T.tolist(), a.tolist(), a.shape[1])
         assert linalg.certified_rank(got) == rank_bareiss(a.tolist())
+
+    @pytest.mark.parametrize("dtype, top, tier", [
+        (np.int8, 127, np.float32),  # the dtype bound 128^2 * 7 rows
+        (np.int64, 2**12, np.float64),  # bounds max|a| * column sum = 7 * top^2
+        (np.int64, 2**26, np.int64),
+        (np.int64, 2**31, object),
+        (object, 2**70, object),
+    ])
+    def test_is_the_product_of_the_transpose(self, monkeypatch, dtype, top, tier):
+        # two rows of a per inner block, so four partial sums per entry
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 6)
+        rng = random.Random(top)
+        a = np.array([[rng.choice([-top, top])] + [rng.randint(-top, top) for _ in range(2)]
+                      for _ in range(7)], dtype=dtype)
+        assert linalg._product_dtype(a.T, a) is tier
+        got = linalg.gram(a)
+        assert got.dtype == (object if tier is object else np.int64)
+        assert got.tolist() == linalg.exact_product(a.T, a).tolist()
+        assert got.tolist() == python_product(a.T.tolist(), a.tolist(), 3)
 
     def test_tier_edges(self):
         assert linalg._exact_dtype(2**24 - 1) is np.float32
