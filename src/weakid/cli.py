@@ -79,7 +79,10 @@ def _parse_partition(spec: str) -> tuple[int, ...]:
     spec = spec.strip()
     if not spec:
         return ()
-    return tuple(int(x) for x in spec.split(","))
+    try:
+        return tuple(map(_seed, spec.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"bad partition {spec!r}: {exc}") from None
 
 
 def _interleaved_word(entry: str, n: int, max_degree: int) -> tuple[int, ...]:

@@ -11,6 +11,8 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
 Word = tuple[int, ...]
 Coeff = Union[int, Fraction]
 
@@ -232,18 +234,34 @@ def standard_poly(n: int) -> NcPoly:
 def _alternating(letters: Sequence[int]) -> NcPoly:
     """The sum of sign(s) times the word of the letters in the order s, over
     all permutations s, in itertools.permutations order; for increasing
-    letters, S_n in those letters.
-
-    In that order a first letter with a smaller letters after it adds a
-    inversions: the parities for m letters are those for m - 1, flipped in
-    every odd block of (m - 1)! words."""
-    odd = [0]
-    for m in range(2, len(letters) + 1):
-        odd = [o ^ (a & 1) for a in range(m) for o in odd]
+    letters, S_n in those letters."""
     signs = (Fraction(1), Fraction(-1))
+    odd = _permutation_rows(len(letters))[1].tolist()
     return NcPoly._wrap(
         {perm: signs[o] for perm, o in zip(itertools.permutations(letters), odd)}
     )
+
+
+def _permutation_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of 0..m-1 in itertools.permutations order, one int8
+    row each, and their parities (int8, 1 for odd).
+
+    In that order the permutations with first entry a are a followed by
+    those of m - 1 with every entry >= a raised by one.  That first entry
+    adds a inversions: the parities for m are those for m - 1, flipped in
+    every odd block of (m - 1)! rows."""
+    perms = np.zeros((1, min(m, 1)), dtype=np.int8)
+    odd = np.zeros(1, dtype=np.int8)
+    for size in range(2, m + 1):
+        first = np.arange(size, dtype=np.int8)[:, None]
+        block = np.empty((size, len(perms), size), dtype=np.int8)
+        block[:, :, 0] = first
+        rest = block[:, :, 1:]
+        rest[...] = perms
+        rest += rest >= first[:, :, None]
+        perms = block.reshape(-1, size)
+        odd = (odd ^ (first & 1)).ravel()
+    return perms, odd
 
 
 def star(f: NcPoly) -> NcPoly:

@@ -32,9 +32,10 @@ from .freealg import (
     NcPoly,
     multihomogeneous_components,
     multilinearize,
+    word_key,
 )
 from .linalg import _signed_dtype, exact_product
-from .parser import MAX_TERMS
+from .parser import MAX_TERMS, ParsedPoly, RowComponent
 from .scalars import Coeff
 
 
@@ -177,52 +178,82 @@ def _integer_rows(ml: NcPoly) -> tuple[np.ndarray, list[int], int]:
     return words, coeffs, den
 
 
-def _batch_rows(mls: list[NcPoly]) -> tuple[np.ndarray, list[list[int]], list[int]]:
-    """Multilinear polynomials of one degree as _integer_rows: the words of
-    all, read in one pass and stacked in order, each one's renamed by its
-    own sorted letters; and the coefficient row and den of each."""
-    n = len(next(iter(mls[0].terms)))
-    count = sum(len(ml.terms) for ml in mls)
-    letters = itertools.chain.from_iterable(itertools.chain.from_iterable(ml.terms for ml in mls))
-    words = np.fromiter(letters, dtype=np.intp, count=count * n).reshape(count, n)
-    rows, dens, start = [], [], 0
-    for ml in mls:
-        end = start + len(ml.terms)
-        # renamed in place; every word has the same letters
-        words[start:end] = np.array(sorted(next(iter(ml.terms)))).searchsorted(words[start:end])
-        start = end
-        coeffs = ml.terms.values()
-        den = lcm(*{c.denominator for c in coeffs})
-        rows.append([c.numerator for c in coeffs] if den == 1
-                    else [c.numerator * (den // c.denominator) for c in coeffs])
-        dens.append(den)
-    words += 1
-    return words, rows, dens
+def _batch_rows(mls: list) -> tuple[np.ndarray, list, list[int]]:
+    """Multilinear components of one degree as _integer_rows: the words of
+    all, stacked in order, each one's renamed by its own sorted letters; and
+    the coefficient row and den of each.  A parser RowComponent gives its
+    rows as they are; a run of NcPolys is read in one pass."""
+    parts, rows, dens = [], [], []
+    for kind, run in itertools.groupby(mls, key=type):
+        if kind is RowComponent:
+            for comp in run:
+                parts.append(comp.words)
+                rows.append(comp.coeffs)
+                dens.append(comp.den)
+            continue
+        run = list(run)
+        n = len(next(iter(run[0].terms)))
+        count = sum(len(ml.terms) for ml in run)
+        letters = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(ml.terms for ml in run))
+        words = np.fromiter(letters, dtype=np.intp, count=count * n).reshape(count, n)
+        start = 0
+        for ml in run:
+            end = start + len(ml.terms)
+            # renamed in place; every word has the same letters
+            words[start:end] = np.array(sorted(next(iter(ml.terms)))).searchsorted(words[start:end])
+            start = end
+            coeffs = ml.terms.values()
+            den = lcm(*{c.denominator for c in coeffs})
+            rows.append([c.numerator for c in coeffs] if den == 1
+                        else [c.numerator * (den // c.denominator) for c in coeffs])
+            dens.append(den)
+        words += 1
+        parts.append(words)
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), rows, dens
 
 
-def _multilinear(comp: NcPoly, max_degree: int) -> NcPoly:
+def _degree(comp) -> int:
+    """The degree of a multihomogeneous component."""
+    return len(comp.letters) if isinstance(comp, RowComponent) else len(next(iter(comp.terms)))
+
+
+def _multilinear(comp, max_degree: int):
     """A multihomogeneous component, multilinearized; the component itself
-    when no letter repeats in it (S_n, A * S_n * B, a fresh monomial).
+    when no letter repeats in it (S_n, A * S_n * B, a fresh monomial, and
+    every parser RowComponent).
 
     Its multidegree is read from one sorted word.  A component of degree
     above max_degree, or one whose polarization could have more than
     parser.MAX_TERMS words (its terms times prod d_i! over its
     multidegree), is refused before it is polarized.
     """
-    letters = sorted(next(iter(comp.terms)))  # every word has the component's multidegree
+    if isinstance(comp, RowComponent):
+        letters, size = comp.letters, len(comp.words)
+    else:  # every word has the component's multidegree
+        letters, size = sorted(next(iter(comp.terms))), len(comp.terms)
     n = len(letters)
     if n > max_degree:
         raise ValueError(f"degree {n} above cap {max_degree}")
-    words = len(comp.terms) * prod(map(factorial, Counter(letters).values()))
+    words = size * prod(map(factorial, Counter(letters).values()))
     if words > MAX_TERMS:
         raise ValueError(f"polarizing a degree-{n} component can give {words} words, "
                          f"above the cap {MAX_TERMS}")
-    return comp if words == len(comp.terms) else multilinearize(comp)
+    return comp if words == size else multilinearize(comp)
 
 
 #: Signs per block of the orbit search (words times representatives), and
 #: entries per batch of components (components times words).
 ORBIT_BLOCK_ENTRIES = 1 << 22
+
+
+def _components(f: NcPoly) -> list:
+    """The multihomogeneous components of f, in degree-lex order of their
+    least words: NcPolys, and the RowComponents of a ParsedPoly as they are."""
+    if not isinstance(f, ParsedPoly):
+        return multihomogeneous_components(f)
+    return sorted([*multihomogeneous_components(f.rest), *f.components], key=lambda c: word_key(
+        c.first if isinstance(c, RowComponent) else min(c.terms)))
 
 
 def _batches(f: NcPoly, max_degree: int):
@@ -233,10 +264,10 @@ def _batches(f: NcPoly, max_degree: int):
     not a quadratic matrix).  A component is polarized only once
     every batch of a lower degree is yielded; one that _multilinear refuses
     ends the batch before it, which is yielded before the refusal is raised."""
-    batch: list[NcPoly] = []
+    batch: list = []
     words = 0
-    for comp in multihomogeneous_components(f):
-        if batch and len(next(iter(comp.terms))) != len(next(iter(batch[0].terms))):
+    for comp in _components(f):
+        if batch and _degree(comp) != _degree(batch[0]):
             yield batch
             batch, words = [], 0
         try:
@@ -245,16 +276,17 @@ def _batches(f: NcPoly, max_degree: int):
             if batch:
                 yield batch
             raise
-        if batch and (len(batch) + 1) * (words + len(ml.terms)) > ORBIT_BLOCK_ENTRIES:
+        size = len(ml.words) if isinstance(ml, RowComponent) else len(ml.terms)
+        if batch and (len(batch) + 1) * (words + size) > ORBIT_BLOCK_ENTRIES:
             yield batch
             batch, words = [], 0
         batch.append(ml)
-        words += len(ml.terms)
+        words += size
     if batch:
         yield batch
 
 
-def _first_failing_orbit(mls: list[NcPoly], k: int) -> tuple[int, int, Fraction] | None:
+def _first_failing_orbit(mls: list, k: int) -> tuple[int, int, Fraction] | None:
     """The first of multilinear polynomials of one degree n that is nonzero
     at some basis tuple of e1..ek, the index of its first such orbit
     representative, and its signed sum over its den; None if all vanish.
@@ -275,7 +307,8 @@ def _first_failing_orbit(mls: list[NcPoly], k: int) -> tuple[int, int, Fraction]
     words, rows, dens = _batch_rows(mls)
     # converted once, in a dtype narrow enough (int8 for most polynomials)
     # that _product_dtype bounds each block's sums with no pass over it
-    top = max(max(map(abs, row)) for row in rows)
+    top = max(int(abs(row).max()) if isinstance(row, np.ndarray) else max(map(abs, row))
+              for row in rows)
     matrix = np.zeros((len(rows), len(words)), dtype=_signed_dtype(top))
     ends = list(itertools.accumulate(map(len, rows)))
     for i, (row, end) in enumerate(zip(rows, ends)):
@@ -295,7 +328,7 @@ def _first_failing_orbit(mls: list[NcPoly], k: int) -> tuple[int, int, Fraction]
     return found
 
 
-def _batch_witness(mls: list[NcPoly], target: PairTarget) -> Witness | None:
+def _batch_witness(mls: list, target: PairTarget) -> Witness | None:
     """The first failing basis tuple of the first failing one of multilinear
     polynomials of one degree as a witness, with its value: the signed sum
     times the tuple's q-monomial and blade, in C_k or, through phi, in M_2.
@@ -304,7 +337,7 @@ def _batch_witness(mls: list[NcPoly], target: PairTarget) -> Witness | None:
     clifford:k with k > n it is decided as clifford:n (clifford:1 for the
     constant): the same tuples, the same witness and the same printed
     value, with no k-sized exponent vector."""
-    n = len(next(iter(mls[0].terms)))
+    n = _degree(mls[0])
     if isinstance(target, CliffordPair) and target.form.values is None and target.k > n:
         target = CliffordPair.symbolic(max(n, 1))
     form = target.form
@@ -321,8 +354,12 @@ def _batch_witness(mls: list[NcPoly], target: PairTarget) -> Witness | None:
         value = _M2_BLADES[blade] * coeff.constant_value()
         basis = substitution_basis(target)
         labels = [basis[i - 1][0] for i in rep]
-    assignment = dict(zip(sorted(next(iter(mls[row].terms))), labels))
-    return Witness(assignment=assignment, value=value, component=mls[row])
+    comp = mls[row]
+    if isinstance(comp, RowComponent):  # its NcPoly is expanded when read
+        letters, comp = comp.letters, ParsedPoly(NcPoly._wrap({}), (comp,))
+    else:
+        letters = sorted(next(iter(comp.terms)))
+    return Witness(assignment=dict(zip(letters, labels)), value=value, component=comp)
 
 
 def is_weak_identity(
@@ -340,7 +377,8 @@ def is_weak_identity(
     Consecutive components of one degree are decided together, a batch at
     a time (_batches): one orbit sign matrix and one product per block.  A
     failing component ahead of a larger one of its degree therefore pays
-    for one block of the larger one's signs.
+    for one block of the larger one's signs.  The S(n) summands of a
+    parser.ParsedPoly are decided from their rows, never expanded.
     """
     if not isinstance(f, NcPoly):
         raise TypeError("expected an NcPoly")

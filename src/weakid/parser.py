@@ -14,6 +14,13 @@ Grammar (whitespace insignificant):
 standard polynomial in x1..xn.  Variables map to generator indices by
 x<N> -> 2N-1 and y<N> -> 2N, so the two families never collide.
 
+parse_poly lowers each top-level summand c * w1 * S(m) * w2 whose letters
+are all distinct (c a product of constants, w1 and w2 products of
+variables) straight to integer rows: one RowComponent per multidegree, built in numpy from the
+sign recurrence of S(m).  The other summands are expanded to an NcPoly as
+before; the result, a ParsedPoly, expands the rows only when its terms are
+read.
+
 Brackets nest at most MAX_NESTING deep.  parse_poly can bound the degree
 and the number of terms from the syntax tree before expanding anything
 (degree_bound, term_bound).  A power that could reach MAX_POWER_BITS-bit
@@ -22,11 +29,14 @@ coefficients is refused unexpanded.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, lcm, prod
 
-from .freealg import NcPoly, Word, _alternating, commutator, jordan
+import numpy as np
+
+from .freealg import NcPoly, Word, _alternating, _permutation_rows, commutator, jordan
 
 # AST nodes: ("num", Fraction) | ("var", index) | ("sum", ((+-1, a), ...))
 # | ("prod", (a, b, ...)) | ("pow", a, exponent) | ("comm", a, b)
@@ -267,7 +277,9 @@ def _power(base: NcPoly, e: int) -> NcPoly:
 def parse_poly(text: str, max_degree: int | None = None) -> NcPoly:
     """Parse and expand; with max_degree, an expression whose degree bound
     exceeds it, or whose term bound exceeds MAX_TERMS, raises ValueError
-    before anything is expanded."""
+    before anything is expanded.  The result equals lower_expr's; when a
+    top-level summand is some c * w1 * S(m) * w2 with distinct letters, it
+    is a ParsedPoly that holds those summands as RowComponents."""
     ast = parse_expr(text)
     if max_degree is not None:
         degree, terms = _bounds(ast)
@@ -275,7 +287,153 @@ def parse_poly(text: str, max_degree: int | None = None) -> NcPoly:
             raise ValueError(f"expression degree can reach {degree}, above the cap {max_degree}")
         if terms > MAX_TERMS:
             raise ValueError(f"expression can expand to more than {MAX_TERMS} terms")
-    return lower_expr(ast)
+    return _lower_summands(ast) if "S" in text else lower_expr(ast)  # S( starts every S(n)
+
+
+@dataclass(frozen=True, eq=False)
+class RowComponent:
+    """A multilinear multihomogeneous component as integer rows.
+
+    letters are its generators in increasing order; words its words with
+    the letters renamed to 1..n in that order (an intp array, one row per
+    word); coeffs their integer coefficients (int64, or object for Python
+    ints past int64) over the common denominator den; first its least word,
+    in the original letters, by word_key.
+    """
+
+    letters: tuple[int, ...]
+    words: np.ndarray
+    coeffs: np.ndarray
+    den: int
+    first: Word
+
+    def poly(self) -> NcPoly:
+        """The component as an NcPoly, expanded here."""
+        named = np.array((0, *self.letters))[self.words].tolist()
+        values = self.coeffs.tolist()
+        scaled = {c: Fraction(c, self.den) for c in set(values)}
+        return NcPoly._wrap(dict(zip(map(tuple, named), map(scaled.__getitem__, values))))
+
+
+class ParsedPoly(NcPoly):
+    """A parsed polynomial: rest, the NcPoly of its other summands, plus
+    RowComponents of multidegrees that no word of rest has.  Its terms are
+    expanded on first read; is_zero reads neither."""
+
+    __slots__ = ("rest", "components", "_terms")
+
+    def __init__(self, rest: NcPoly, components: tuple[RowComponent, ...]):
+        self.rest, self.components, self._terms = rest, components, None
+
+    @property
+    def terms(self) -> dict[Word, Fraction]:
+        if self._terms is None:
+            terms = dict(self.rest.terms)
+            for comp in self.components:
+                terms.update(comp.poly().terms)
+            self._terms = terms
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return self.rest.is_zero() and not self.components
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+
+def _standard_summand(node: ExprAst) -> tuple[Fraction, list[int], int, list[int]] | None:
+    """(c, w1, m, w2) when the summand is a product of one S(m), constants c
+    (factors of degree bound 0), and the variables of w1 before S(m) and of
+    w2 after it, with no letter twice; None otherwise."""
+    factors = node[1] if node[0] == "prod" else (node,)
+    at = [i for i, factor in enumerate(factors) if factor[0] == "std"]
+    if len(at) != 1:
+        return None
+    c, words, m = Fraction(1), ([], []), factors[at[0]][1]
+    for i, factor in enumerate(factors):
+        if factor[0] == "var":
+            words[i > at[0]].append(factor[1])
+        elif factor[0] == "num":
+            c *= factor[1]
+        elif i != at[0]:
+            if _bounds(factor)[0]:
+                return None
+            c *= lower_expr(factor).coeff(())
+    letters = {*words[0], *words[1], *range(1, 2 * m, 2)}
+    if len(letters) != len(words[0]) + m + len(words[1]):
+        return None
+    return c, words[0], m, words[1]
+
+
+def _lower_summands(ast: ExprAst) -> NcPoly:
+    """lower_expr(ast), with its top-level S(m) summands (_standard_summand)
+    as RowComponents.  The words of the other summands whose multidegree is
+    one of theirs join their component."""
+    rest, groups = None, {}
+    for sign, node in ast[1] if ast[0] == "sum" else ((1, ast),):
+        shape = _standard_summand(node)
+        if shape is None:  # summed as lower_expr sums
+            term = lower_expr(node)
+            if rest is None:
+                rest = term if sign > 0 else -term
+            else:
+                rest = rest + term if sign > 0 else rest - term
+        elif shape[0]:
+            c, w1, m, w2 = shape
+            key = tuple(sorted((*w1, *range(1, 2 * m, 2), *w2)))
+            groups.setdefault(key, ([], []))[0].append((sign * c, w1, m, w2))
+    if rest is None:
+        rest = NcPoly._wrap({})
+    if not groups:
+        return rest
+    degrees = {len(key) for key in groups}
+    moved = set()
+    for w, c in rest.terms.items():
+        if len(w) in degrees and (group := groups.get(tuple(sorted(w)))) is not None:
+            group[1].append((w, c))
+            moved.add(w)
+    if moved:
+        rest = NcPoly._wrap({w: c for w, c in rest.terms.items() if w not in moved})
+    comps = (_row_component(key, *sources) for key, sources in groups.items())
+    comps = tuple(comp for comp in comps if comp is not None)
+    return ParsedPoly(rest, comps) if comps else rest
+
+
+def _row_component(letters: Word, standard: list, expanded: list) -> RowComponent | None:
+    """The sum of the S(m) summands (c, w1, m, w2) and the terms (w, c) of
+    one multidegree, all in the given letters, as a RowComponent; None when
+    it cancels.  Words that occur twice are summed."""
+    rank = {g: i + 1 for i, g in enumerate(letters)}
+    den = lcm(*(c.denominator for c, *_ in standard), *(c.denominator for _, c in expanded))
+    scales = [int(c * den) for c, *_ in standard]
+    ints = [int(c * den) for _, c in expanded]
+    # no partial sum of a word's coefficient exceeds the sum of them all
+    dtype = np.int64 if sum(map(abs, scales + ints)) < 2**63 else object
+    blocks, coeffs = [], []
+    for (_, w1, m, w2), scale in zip(standard, scales):
+        perms, odd = _permutation_rows(m)
+        block = np.empty((len(perms), len(letters)), dtype=np.intp)
+        block[:, :len(w1)] = [rank[g] for g in w1]
+        block[:, len(w1):len(w1) + m] = np.array([rank[g] for g in range(1, 2 * m, 2)]).take(perms)
+        block[:, len(w1) + m:] = [rank[g] for g in w2]
+        blocks.append(block)
+        coeffs.append((1 - 2 * odd).astype(dtype) * scale)
+    if expanded:
+        blocks.append(np.array([[rank[g] for g in w] for w, _ in expanded], dtype=np.intp))
+        coeffs.append(np.array(ints, dtype=dtype))
+    if len(blocks) == 1:
+        words, values = blocks[0], coeffs[0]
+    else:
+        words, inverse = np.unique(np.concatenate(blocks), axis=0, return_inverse=True)
+        values = np.zeros(len(words), dtype=dtype)
+        np.add.at(values, inverse.ravel(), np.concatenate(coeffs))
+        keep = values != 0
+        if not keep.any():
+            return None
+        words, values = words[keep], values[keep]
+    # the least word: row 0 of one S(m) block, or of np.unique's sorted rows
+    first = tuple(letters[r - 1] for r in words[0].tolist())
+    return RowComponent(letters, words, values, den, first)
 
 
 def _format_word(w: Word) -> str:

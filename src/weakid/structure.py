@@ -58,7 +58,9 @@ from .pairs import (
     CliffordPair,
     MatrixPair,
     PairTarget,
+    _batch_rows,
     _integer_rows,
+    _multilinear,
     is_weak_identity,
 )
 from .symmetric import partitions
@@ -847,16 +849,17 @@ def _solve_modulo_identities(
     c_j = z_j den_j / den_0; rescaling a column keeps its pivot status, so
     the free variables are the same.
     """
-    md = multidegree(lhs)
+    key = sorted(next(iter(lhs.terms)))  # a multidegree, read from one word
     for c in candidates:
-        if multidegree(c) != md:
+        if sorted(next(iter(c.terms))) != key:
             raise ValueError("candidate multidegree does not match the left-hand side")
-    columns, dens = [], []
-    for ml in map(multilinearize, [lhs, *candidates]):
-        words, coeffs, den = _integer_rows(ml)
-        signs = orbit_sign_matrix(words, words.shape[1])
-        columns.append(exact_product([coeffs], signs)[0].tolist())
-        dens.append(den)
+    # polarized alike, so all have the same N letters: one sign matrix over
+    # all their words, and one product per polynomial on its rows
+    words, rows, dens = _batch_rows([_multilinear(p, len(key)) for p in (lhs, *candidates)])
+    signs = orbit_sign_matrix(words, words.shape[1])
+    columns = []
+    for end, row in zip(itertools.accumulate(map(len, rows)), rows):
+        columns.append(exact_product([row], signs[end - len(row):end])[0].tolist())
     # one equation per representative, most of them repeated: the distinct
     # ones span the same rows, so they have the same solution
     equations = list(dict.fromkeys(zip(*columns)))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weakid import cli, clifford, pairs
+from weakid import cli, clifford, pairs, parser
 from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate, word_sign_vector
 from weakid.freealg import (
     DEFAULT_DEGREE_CAP,
@@ -760,3 +760,77 @@ def test_random_invertible_substitution_shape():
     assert set(sub) == {1, 2, 3, 4}
     for v in sub.values():
         assert all(len(w) == 1 for w in v.terms)
+
+
+_LETTERS = ("x1", "x2", "x3", "x4", "y1", "y2", "y3")
+_SUMMAND_COEFFS = ("", "2*", "1/2*", "2/3*", "2^70*", "(1/3)^41*", "0*")
+
+
+@st.composite
+def standard_sums(draw):
+    """Expressions that sum S(m) summands c * w1 * S(m) * w2 (letters
+    repeated or overlapping in some), other summands, and some summands
+    twice with opposite signs."""
+    summands = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = draw(st.sampled_from(_SUMMAND_COEFFS))
+        w1 = draw(st.lists(st.sampled_from(_LETTERS), max_size=2))
+        w2 = draw(st.lists(st.sampled_from(_LETTERS), max_size=2))
+        kind = draw(st.sampled_from(("std", "std", "word", "bracket")))
+        if kind == "std":
+            core = [f"S({draw(st.integers(1, 4))})"]
+        elif kind == "word":
+            core = draw(st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4))
+        else:
+            core = [f"[{draw(st.sampled_from(_LETTERS))},S({draw(st.integers(1, 2))})]"]
+        summands.append(coeff + "*".join([*w1, *core, *w2]))
+        if draw(st.booleans()):
+            summands.append(draw(st.sampled_from(_SUMMAND_COEFFS[:4])) + summands[-1])
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=len(summands), max_size=len(summands)))
+    if draw(st.booleans()):  # a summand cancelled, or doubled
+        at = draw(st.integers(0, len(summands) - 1))
+        summands.append(summands[at])
+        signs.append(draw(st.sampled_from((signs[at], "+" if signs[at] == "-" else "-"))))
+    text = " ".join(f"{sign} {s}" for sign, s in zip(signs, summands))
+    return text[2:] if text[0] == "+" else text
+
+
+def decision_outcome(f, target):
+    try:
+        w = is_weak_identity(f, target)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return None if w is None else (w.assignment, str(w.value), w.component)
+
+
+class TestParsedStandardSummands:
+    """parse_poly keeps S(m) summands as integer rows (parser.RowComponent);
+    deciding them gives what deciding the expanded NcPoly gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=standard_sums(),
+           target=st.sampled_from([*map(CliffordPair.symbolic, range(1, 8)), MatrixPair()]))
+    @example(text="S(3) - S(2)*x3 + x1*x2*x3", target=CliffordPair.symbolic(3))
+    @example(text="S(4)*y1 + y1*S(4)", target=CliffordPair.symbolic(2))
+    @example(text="2^70*S(3) + x4*x5*x6*x7", target=MatrixPair())
+    @example(text="S(2) - x1*x2 + x2*x1 + y1", target=CliffordPair.symbolic(1))
+    @example(text="x1*S(3) - 1/2*S(3)*y1 + 2^70*y2*S(2)*y1", target=CliffordPair.symbolic(5))
+    def test_rows_decide_as_the_expanded_polynomial(self, text, target):
+        f = cli.parse_poly(text)
+        assert f == parser.lower_expr(parser.parse_expr(text))
+        assume(not f.is_zero())
+        expanded = NcPoly(dict(f.terms))
+        assert decision_outcome(f, target) == decision_outcome(expanded, target)
+
+    def test_rows_are_not_expanded_to_decide(self, monkeypatch):
+        f = cli.parse_poly("y1*S(6) + 2/3*x7*x8*x9*x10*x11*x12")
+        assert isinstance(f, parser.ParsedPoly) and f.rest == NcPoly.monomial(
+            (13, 15, 17, 19, 21, 23), Fraction(2, 3))
+        monkeypatch.setattr(parser.RowComponent, "poly", None)  # expanding would raise
+        w = is_weak_identity(f, CliffordPair.symbolic(5))
+        assert w.assignment == {g: "e1" for g in (13, 15, 17, 19, 21, 23)}
+        monkeypatch.undo()
+        # a failing row component is expanded when its witness is read
+        w = is_weak_identity(cli.parse_poly("S(3) + S(3)"), CliffordPair.symbolic(3))
+        assert isinstance(w.component, parser.ParsedPoly)
+        assert w.component == 2 * parser.lower_expr(("std", 3))

@@ -564,6 +564,12 @@ class TestCli:
         assert main(["diagrams", "min", "2,1;2,2;3,1"]) == 0
         assert "2,1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec, part", [("3,a", "a"), (",", "")])
+    def test_bad_partition_names_the_part(self, capsys, spec, part):
+        assert main(["diagrams", "min", spec]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bad partition {spec!r}: {part!r} is not an integer\n")
+
     def test_seeds_flag(self, capsys):
         assert main(["--seeds", "none", "dim", "--n", "3", "--pair", "clifford:3"]) == 0
         assert main(
@@ -645,6 +651,58 @@ class TestCli:
         assert len(built) == 1
         cli._parser.cache_clear()
         capsys.readouterr()
+
+
+_ZERO_ERR = "error: the zero polynomial is not a meaningful candidate\n"
+
+
+def _witness_lines(assignment: dict, value: str) -> str:
+    lines = ["fails; witness:", *(f"  {g} -> {e}" for g, e in assignment.items()),
+             f"  value = {value}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestStandardSummands:
+    """S(n) summands that merge, cancel or take the general route, on
+    clifford:3: the full text and --json output of each (outputs of the
+    expansion through NcPoly, kept as the reference)."""
+
+    @pytest.mark.parametrize("expr", ["S(3) - S(3)", "0*S(3)"])
+    def test_cancelling_to_zero_exit_2(self, capsys, expr):
+        for argv in (["check", "--pair", "clifford:3", expr],
+                     ["--json", "check", "--pair", "clifford:3", expr]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", _ZERO_ERR)
+
+    @pytest.mark.parametrize("expr, assignment, value", [
+        ("S(3) - x1*x2*x3", {"x1": "e1", "x2": "e1", "x3": "e1"}, "-q1*e{1}"),
+        ("S(4)*y1 + y1*S(4)", None, None),
+        ("y1*S(3)*y2 - y2*S(3)*y1",
+         {"x1": "e1", "y1": "e1", "x2": "e2", "y2": "e2", "x3": "e3"}, "-12*q1*q2*e{3}"),
+        ("S(3) + S(3)", {"x1": "e1", "x2": "e2", "x3": "e3"}, "12*e{1,2,3}"),
+        ("1/2*S(3) - 1/2*S(3) + y1", {"y1": "e1"}, "e{1}"),
+        ("x1*S(3)", {"x1": "e1", "y1": "e1", "x2": "e2", "x3": "e3"}, "12*q1*e{2,3}"),
+        ("y1*S(3)*y1",
+         {"x1": "e1", "y1": "e1", "x2": "e2", "y2": "e1", "x3": "e3"}, "12*q1*e{1,2,3}"),
+        ("S(2)^2", {"x1": "e1", "y1": "e1", "x2": "e2", "y2": "e2"}, "-16*q1*q2"),
+        ("[S(2),x3]", {"x1": "e1", "x2": "e2", "x3": "e1"}, "-4*q1*e{2}"),
+        ("S(3)*S(2)",
+         {"x1": "e1", "y1": "e1", "x2": "e2", "y2": "e2", "x3": "e3"}, "-48*q1*q2*e{3}"),
+        ("jord(S(2),x3)", {"x1": "e1", "x2": "e2", "x3": "e3"}, "2*e{1,2,3}"),
+    ])
+    def test_text_and_json(self, capsys, expr, assignment, value):
+        code = main(["check", "--pair", "clifford:3", expr])
+        out = capsys.readouterr().out
+        assert main(["--json", "check", "--pair", "clifford:3", expr]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"] == {"pair": "clifford:3", "expr": expr}
+        if assignment is None:
+            assert (code, out, report["outcome"]) == (0, "holds\n", {"holds": True})
+            return
+        assert code == 1
+        assert out == _witness_lines(assignment, value)
+        assert report["outcome"] == {"holds": False, "witness": {
+            "assignment": dict(sorted(assignment.items())), "value": value}}
 
 
 class TestReport:

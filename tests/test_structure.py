@@ -652,6 +652,18 @@ class TestSolveModuloIdentities:
         assert sizes == [3]  # 5 representatives, 3 distinct equations
         assert structure._solve_modulo_identities(lhs + cand, [lhs, cand]) == [1, 1]
 
+    def test_one_sign_matrix_for_polarized_polynomials(self, monkeypatch):
+        # x1^2 x2 = c * x2 x1^2 (squares are central: c = 1) polarizes both
+        # to the letters 1, 2, 3: one sign matrix over their 2 + 2 words
+        calls, real = [], structure.orbit_sign_matrix
+        monkeypatch.setattr(structure, "orbit_sign_matrix",
+                            lambda words, k: calls.append(words.shape) or real(words, k))
+        lhs, cand = NcPoly.monomial((1, 1, 2)), NcPoly.monomial((2, 1, 1))
+        assert structure._solve_modulo_identities(lhs, [cand]) == [1]
+        assert calls == [(4, 3)]
+        with pytest.raises(ValueError, match="candidate multidegree does not match"):
+            structure._solve_modulo_identities(lhs, [NcPoly.monomial((1, 2, 2))])
+
 
 class TestFactorThroughStandard:
     def test_empty_interleaving(self):
