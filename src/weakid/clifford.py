@@ -326,6 +326,13 @@ def orbit_sign_matrix(words: Sequence[Sequence[int]], k: int) -> np.ndarray:
     return next(orbit_sign_blocks(words, k, len(orbit_representatives(len(words[0]), k))))
 
 
+def reversal_odd(n: int, k: int) -> np.ndarray:
+    """Whether each orbit representative r has an odd number of pairs of
+    places with different labels.  Reversing a word turns exactly those
+    pairs, so it multiplies the word's sign at r by -1 when this holds."""
+    return (np.bitwise_count(_orbit_pair_masks(n, k)[2]).sum(axis=1) & 1).astype(bool)
+
+
 def orbit_sign_blocks(words: Sequence[Sequence[int]], k: int, step: int):
     """The columns of orbit_sign_matrix(words, k), ``step`` representatives
     at a time and in their order, each block a fresh int8 array (the

@@ -12,13 +12,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: The Mersenne prime 2^31 - 1: residues below 2^31, so the product of two
-#: fits in int64 with room for one subtraction.
-PRIME = 2**31 - 1
-#: A second prime below 2^31, for a Chinese-remainder lift in certified_rank.
-PRIME2 = 2**31 - 19
+#: Primes below 2^20 (Chinese remainders in certified_rank): a product of
+#: two residues is below 2^40, so _echelon can delay its reductions, and the
+#: three together are below 2^60, inside _rational's int64 bound.
+PRIME = 1_048_573
+PRIME2 = 1_048_571
+PRIME3 = 1_048_559
 
-#: Rows per block: of a pivot step, of a reduction modulo p, of a kernel check.
+#: Rows per block: of a reduction modulo p, of a kernel check.
 BLOCK_ROWS = 128
 #: Entries of b per inner block of a product a @ b.
 BLOCK_ENTRIES = 1 << 16
@@ -107,11 +108,10 @@ def _signed_dtype(top: int) -> np.dtype:
 
 
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
-    """The entries of an _integer_matrix modulo p < 2^31 as a fresh C-ordered
-    int32 matrix, half the size of int64.  Reduced through int64 (or Python
-    ints) in blocks of rows."""
+    """The entries of an _integer_matrix modulo p as a fresh C-ordered int64
+    matrix, reduced through int64 (or Python ints) in blocks of rows."""
     wide = object if a.dtype == object else np.int64
-    out = np.empty(a.shape, dtype=np.int32)
+    out = np.empty(a.shape, dtype=np.int64)
     for rows in _row_blocks(a):
         out[rows] = a[rows].astype(wide) % p
     return out
@@ -123,41 +123,40 @@ def _row_blocks(a: np.ndarray):
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool) -> list[int]:
-    """Row-reduce the int32 residues a modulo p in place; the pivot columns.
+    """Row-reduce the int64 residues a modulo p in place; the pivot columns.
 
     Each pivot row is scaled to a leading 1 and cleared from the rows below
-    it, or with ``reduced`` from every other row (reduced echelon form).  A
-    pivot step touches only the rows that are nonzero in its column,
-    BLOCK_ROWS at a time, in int64 (a product of two residues is below
-    2^62), so the temporaries stay small.
+    it, or with ``reduced`` from every other row (reduced echelon form).
+    Reductions are delayed: a step reduces only its pivot column and pivot
+    row, and subtracts their outer product, each term below p^2, from the
+    rows that are nonzero in the column; one pass at the end reduces the
+    rest.  An entry thus stays below p + pivots * p^2 in magnitude.
     """
     nrows, ncols = a.shape
+    if (min(nrows, ncols) + 1) * p * p >= 2**63:
+        raise ValueError(f"{min(nrows, ncols)} pivots modulo {p} could overflow int64")
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
         if rank == nrows:
             break
+        top = 0 if reduced else rank
+        column = a[top:, col]
+        column %= p
         nz = np.flatnonzero(a[rank:, col])
         if nz.size == 0:
             continue
         if nz[0]:
             a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
-        prow = a[rank, col:].astype(np.int64)
-        prow *= pow(int(prow[0]), p - 2, p)
+        prow = a[rank, col:] % p
+        prow *= pow(int(prow[0]), -1, p)
         prow %= p
         a[rank, col:] = prow
-        hit = a[:, col] != 0
-        hit[rank] = False
-        if not reduced:
-            hit[:rank] = False
-        rows = np.flatnonzero(hit)
-        for start in range(0, rows.size, BLOCK_ROWS):
-            idx = rows[start : start + BLOCK_ROWS]
-            block = a[idx, col:].astype(np.int64)
-            block -= block[:, :1] * prow
-            block %= p
-            a[idx, col:] = block
+        rows = np.flatnonzero(column) + top
+        rows = rows[rows != rank]
+        a[rows, col:] -= a[rows, col, None] * prow
         pivots.append(col)
+    a %= p
     return pivots
 
 
@@ -297,42 +296,43 @@ def _magnitude(a: np.ndarray) -> int:
 
 
 def certified_rank(rows) -> int:
-    """Rank over Q of an integer matrix, certified through a prime field.
+    """Rank over Q of an integer matrix, certified through prime fields.
 
     With the smaller dimension as the c columns, one Gauss-Jordan pass
     modulo PRIME gives the rank r_p <= rank_Q and the c - r_p kernel vectors
     of the reduced echelon form, independent through their identity block
     at the free columns.  Lifted to integers (_lift) and checked exactly to
-    vanish under the matrix, they prove rank_Q <= r_p.  If some entry has
-    no reconstruction modulo PRIME, the residues modulo PRIME2 are combined
-    with them (Chinese remainders) and lifted again.  If that fails too, or
-    the check fails (an unlucky prime), the rank comes from exact_rank.
+    vanish under the matrix, they prove rank_Q <= r_p.  If the lift or the
+    check fails, the residues modulo PRIME2, then PRIME3, are combined with
+    the earlier ones (Chinese remainders) and lifted again.  After the last
+    prime, or when a prime gives other pivots (an unlucky prime), the rank
+    comes from exact_rank.
     """
     a = _integer_matrix(rows)
     if 0 in a.shape:
         return 0
     if a.shape[0] < a.shape[1]:
         a = a.T
-    p1, p2 = PRIME, PRIME2
-    res = _residues(a, p1)
-    pivots = _echelon(res, p1, reduced=True)
-    if len(pivots) == a.shape[1]:
-        return len(pivots)
-    free = np.ones(a.shape[1], dtype=bool)
-    free[pivots] = False
-    k1 = -res[: len(pivots)][:, free].astype(np.int64) % p1
-    del res
-    lifted = _lift(k1.copy(), p1)
-    if lifted is None:
-        res = _residues(a, p2)
-        if _echelon(res, p2, reduced=True) == pivots:
-            k2 = -res[: len(pivots)][:, free].astype(np.int64) % p2
-            del res
-            # k1 + p1 * t < p1 * p2 < 2^62, and so is every product on the way
-            t = (k2 - k1) % p2 * pow(p1, -1, p2) % p2
-            lifted = _lift(k1 + p1 * t, p1 * p2)
-    if lifted is not None and _in_kernel(a, pivots, free, *lifted):
-        return len(pivots)
+    pivots, k, m = None, None, 1
+    for p in (PRIME, PRIME2, PRIME3):
+        res = _residues(a, p)
+        got = _echelon(res, p, reduced=True)
+        if pivots is None:
+            pivots = got
+            if len(pivots) == a.shape[1]:
+                return len(pivots)
+            free = np.ones(a.shape[1], dtype=bool)
+            free[pivots] = False
+        elif got != pivots:
+            break
+        kp = -res[: len(pivots)][:, free] % p
+        del res
+        # k + m * t < m * p < 2^60, and so is every product on the way
+        k = kp if k is None else k + m * ((kp - k) % p * pow(m, -1, p) % p)
+        m *= p
+        lifted = _lift(k.copy(), m)
+        if lifted is not None and _in_kernel(a, pivots, free, *lifted):
+            return len(pivots)
     return exact_rank(a.tolist())
 
 

@@ -24,6 +24,7 @@ from .clifford import (
     basis_product,
     orbit_representatives,
     orbit_sign_matrix,
+    reversal_odd,
 )
 # Unused here, but kept importable as structure.word_sign_vector: the
 # benchmark's traced run wraps this binding and counts its calls.
@@ -298,11 +299,12 @@ class RankReport:
     (generator, cut) pairs, and rank is the sum of f_lam times the rank of
     each lam's stacked blocks (SpanKernelReport.isotypic).
     kernel_dim = n! - rank and quotient_dim = rank always hold.  The rank
-    is exact over Q: linalg.certified_rank takes it modulo 2^31 - 1 (a lower
-    bound) and proves the upper bound with a kernel basis lifted to integers
-    and checked exactly, else ranks exactly.  A Clifford kernel is ranked
-    through the Gram matrix of its orbit sign matrix, which has the same
-    rank.  A span's lam-rank may instead meet its bound modulo a prime.
+    is exact over Q: linalg.certified_rank takes it modulo a prime below
+    2^20 (a lower bound) and proves the upper bound with a kernel basis
+    lifted to integers and checked exactly, else ranks exactly.  A Clifford
+    kernel is ranked through the Gram matrix of its orbit sign matrix,
+    which has the same rank, in two blocks by reversal parity.  A span's
+    lam-rank may instead meet its bound modulo a prime.
     A span_vs_kernel kernel always comes from those bounds (rows n!, cols
     k^n, no matrix built), so its seeds are empty; for evaluation_kernel
     seeds are the form values at which the orbit sign matrix was
@@ -374,7 +376,10 @@ def evaluation_kernel(
     of basis tuples under relabelling (the other columns repeat these up to
     sign).  That matrix S is dense +-1 with far more rows than rank, so the
     rank is taken of its Gram matrix S^T S instead: the same rank over Q and
-    the same kernel vectors, which certify it.  Each requested list of
+    the same kernel vectors, which certify it.  The words are closed under
+    reversal, which flips every sign in the columns where reversal_odd
+    holds and keeps the others, so S^T S vanishes between the two classes
+    of columns and each class is ranked on its own.  Each requested list of
     form values (seeds) spot-checks the factorization itself: a sample of
     sign matrix entries is compared with products of basis vectors,
     multiplied out as (sign, q-exponents, blade) triples.  The values are
@@ -399,7 +404,8 @@ def evaluation_kernel(
             raise ValueError(f"seed list must provide at least {k} primes")
         FormParams(k, tuple(primes[:k]))
     signs = orbit_sign_matrix(words, k)
-    rank = certified_rank(gram(signs))
+    odd = reversal_odd(n, k)
+    rank = sum(certified_rank(gram(signs[:, cols])) for cols in (~odd, odd))
     rng = random.Random(0)
     for _ in seeds:
         _spot_check_orbit_signs(words, signs, k, rng)
@@ -463,7 +469,7 @@ class _SpanGenerator:
     _rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     def rows(self, mu: Partition, p: int | None) -> np.ndarray:
-        """A basis of the row space of rho_mu(g), mu a partition of d: int32
+        """A basis of the row space of rho_mu(g), mu a partition of d: int64
         residues modulo p, or integer rows for p None.  rho_mu(S_d) is d!
         on the one-column shape and 0 on the others."""
         if (mu, p) not in self._rows:
@@ -478,7 +484,7 @@ class _SpanGenerator:
                 rows = np.array(list(_pivot_rows(block.tolist()).values()), dtype=object)
                 self._rows[mu, p] = rows.reshape(-1, f)
             else:
-                block = (block % p).astype(np.int32)
+                block = block % p
                 self._rows[mu, p] = block[:len(_echelon(block, p, reduced=False))]
         return self._rows[mu, p]
 
@@ -539,7 +545,7 @@ def _block_rank(lam: Partition, gens: Sequence[_SpanGenerator], p: int | None) -
         return 0
     if p is None:
         return certified_rank([_int_row(row) for x in blocks for row in x.tolist()])
-    return len(_echelon(np.vstack(blocks).astype(np.int32), p, reduced=False))
+    return len(_echelon(np.vstack(blocks), p, reduced=False))
 
 
 def _check_degree(n: int) -> None:

@@ -138,14 +138,36 @@ def random_invertible_substitution(n: int, rng) -> dict[int, NcPoly]:
     }
 
 
+def echelon_mod_p(rows, p: int = linalg.PRIME) -> tuple[list[int], list[list[int]]]:
+    """The pivot columns and the nonzero rows of the reduced echelon form
+    over GF(p) of an integer matrix, by Gauss-Jordan elimination on Python
+    ints, each entry reduced as soon as it is made.  Entries are validated
+    as linalg validates them: integers only."""
+    a = [[x % p for x in row] for row in linalg._integer_matrix(rows).tolist()]
+    pivots: list[int] = []
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        lead = next((i for i in range(top, len(a)) if a[i][col]), None)
+        if lead is None:
+            continue
+        a[top], a[lead] = a[lead], a[top]
+        inverse = pow(a[top][col], -1, p)
+        a[top] = [x * inverse % p for x in a[top]]
+        for i, row in enumerate(a):
+            if i != top and row[col]:
+                c = row[col]
+                a[i] = [(x - c * y) % p for x, y in zip(row, a[top])]
+        pivots.append(col)
+    return pivots, a[:len(pivots)]
+
+
 def rank_mod_p(rows, p: int = linalg.PRIME) -> int:
-    """Rank over GF(p) of an integer matrix, for a prime p < 2^31.
+    """Rank over GF(p) of an integer matrix.
 
     A lower bound for the rank over Q, equal to it for all but finitely many
     primes (those dividing every maximal nonzero minor).
     """
-    a = linalg._residues(linalg._integer_matrix(rows), p)
-    return len(linalg._echelon(a, p, reduced=False))
+    return len(echelon_mod_p(rows, p)[0])
 
 
 def reduced_word(perm: Sequence[int]) -> list[int]:

@@ -11,7 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakid import linalg, structure
-from weakid.clifford import CliffordElt, FormParams, basis_product, evaluate, orbit_sign_matrix
+from weakid.clifford import (
+    CliffordElt,
+    FormParams,
+    basis_product,
+    evaluate,
+    orbit_representatives,
+    orbit_sign_matrix,
+    reversal_odd,
+)
 from weakid.freealg import (
     SQUARE_COMMUTATOR,
     NcPoly,
@@ -48,6 +56,7 @@ from weakid.structure import (
 
 from oracles import (
     dense_span_vs_kernel,
+    echelon_mod_p,
     oracle_span_vectors,
     rank_bareiss,
     rank_mod_p,
@@ -510,8 +519,12 @@ class TestEvaluationKernel:
             return linalg.certified_rank(rows)
 
         monkeypatch.setattr(structure, "certified_rank", counted)
+        unseeded = evaluation_kernel(6, CliffordPair.symbolic(3))
+        shapes = calls[:]
+        calls.clear()
         rep = evaluation_kernel(6, CliffordPair.symbolic(3), seeds=DEFAULT_SEEDS)
-        assert rep.rank == 51 and len(calls) == 1
+        # one rank per reversal-parity class of representatives
+        assert rep.rank == unseeded.rank == 51 and calls == shapes and len(calls) == 2
 
     def test_seed_values_of_either_sign_and_past_2_32(self):
         # a negative form value with a positive largest q-monomial, and
@@ -601,6 +614,22 @@ class TestEvaluationKernel:
                     linalg.certified_rank(signs)
         assert evaluation_kernel(7, CliffordPair.symbolic(3)).rank == 127
         assert evaluation_kernel(7, CliffordPair.symbolic(7)).rank == 232
+
+    def test_reversal_parity_splits_the_gram_matrix(self):
+        # reversing a word flips its sign at t when t has an odd number D(t)
+        # of pairs of places with different labels: the Gram matrix is block
+        # diagonal in the D-parity, and its blocks' ranks add up
+        cases = [(n, k) for n in range(1, 7) for k in range(1, n + 1)] + [(7, 3)]
+        for n, k in cases:
+            reps = orbit_representatives(n, k).tolist()
+            odd = np.array([sum(a != b for a, b in itertools.combinations(t, 2)) % 2 == 1
+                            for t in reps])
+            assert reversal_odd(n, k).tolist() == odd.tolist()
+            g = linalg.gram(orbit_sign_matrix(multilinear_words(n), k))
+            assert not g[np.ix_(odd, ~odd)].any()
+            ranks = [linalg.certified_rank(g[np.ix_(c, c)]) for c in (odd, ~odd)]
+            assert sum(ranks) == linalg.certified_rank(g) == \
+                sum(hook_dim(lam) for lam in partitions(n, max_rows=k))
 
     def test_bareiss_cross_check(self):
         # same ranks from the dense fraction-free path on the full k^n table
@@ -762,6 +791,40 @@ def rational_systems(draw):
     return rows, rhs, consistent
 
 
+@st.composite
+def low_rank_residues(draw):
+    """Residues modulo PRIME of rank at most r: b @ c modulo PRIME for b
+    (rows x r) and c (r x cols) with entries at 0, 1, PRIME - 1 or anywhere
+    below PRIME, as many rows as columns or more or fewer, and some columns
+    then set to zero."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    entry = st.sampled_from([0, 1, PRIME - 1]) | st.integers(0, PRIME - 1)
+    b = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=nrows, max_size=nrows))
+    c = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=r, max_size=r))
+    a = np.array(python_product(b, c, ncols), dtype=object).reshape(nrows, ncols) % PRIME
+    a[:, sorted(draw(st.sets(st.integers(0, ncols - 1))))] = 0
+    return a.astype(np.int64)
+
+
+def assert_echelon_matches_oracle(a: np.ndarray) -> None:
+    """_echelon of a copy of the residues a, reduced and not, against the
+    pure-Python echelon_mod_p: the same pivots, residues below PRIME, a
+    leading 1 on each pivot row with zeros to its left and below the rank,
+    and in the reduced case the same rows."""
+    pivots, rows = echelon_mod_p(a)
+    for reduced in (False, True):
+        got = a.copy()
+        assert linalg._echelon(got, PRIME, reduced) == pivots
+        assert ((0 <= got) & (got < PRIME)).all()
+        assert not got[len(pivots):].any()
+        for i, col in enumerate(pivots):
+            assert not got[i, :col].any() and got[i, col] == 1
+            assert not got[i + 1:, col].any()
+        if reduced:
+            assert got[:len(pivots)].tolist() == rows
+
+
 class TestLinalg:
     def test_exact_rank_simple(self):
         assert exact_rank([[1, 2], [2, 4]]) == 1
@@ -804,6 +867,26 @@ class TestLinalg:
         assert rank_mod_p(signs) == exact_rank(signs.tolist()) == 10
         assert rank_mod_p(signs.T.astype(np.int16)) == 10
         assert rank_mod_p(np.array([[2**70, 1], [1, 0]], dtype=object)) == 2
+
+    @given(low_rank_residues())
+    def test_echelon_matches_the_oracle(self, a):
+        assert_echelon_matches_oracle(a)
+
+    def test_echelon_past_64_pivots(self):
+        # 70 pivots of residues up to p - 1: 70 delayed subtractions of up
+        # to p^2 on the last columns before the one final reduction
+        rng = random.Random(64)
+        b = [[rng.randrange(PRIME) for _ in range(70)] for _ in range(90)]
+        c = [[rng.randrange(PRIME) for _ in range(80)] for _ in range(70)]
+        a = np.array(python_product(b, c, 80), dtype=object) % PRIME
+        a[:, [0, 33, 79]] = 0
+        a[:5] = PRIME - 1
+        assert rank_mod_p(a) >= 64
+        assert_echelon_matches_oracle(a.astype(np.int64))
+
+    def test_echelon_refuses_pivots_past_the_int64_bound(self):
+        with pytest.raises(ValueError, match="overflow int64"):
+            linalg._echelon(np.zeros((2, 2), dtype=np.int64), 2**31 - 1, reduced=True)
 
     def test_rank_mod_p_drops_when_p_divides_the_minors(self):
         rows = [[1, 1, 0], [1, 1 + PRIME, 0]]  # its only nonzero 2x2 minor is p
@@ -1119,7 +1202,7 @@ class TestCertifiedRank:
 
     def test_kernel_beyond_one_prime_takes_the_second(self, monkeypatch):
         # the kernel vectors (-1/40000, 1, 0) and (-7/40000, 0, 1) have a
-        # denominator above sqrt(PRIME / 2) = 32767
+        # denominator above sqrt(PRIME / 2) = 724
         primes = []
         echelon = linalg._echelon
 
@@ -1135,7 +1218,9 @@ class TestCertifiedRank:
         rows = [[40000, 1, 7], [80000, 2, 14], [-40000, -1, -7]]
         assert linalg.certified_rank(rows) == 1
         assert primes == [PRIME, linalg.PRIME2]
-        assert linalg._lift(np.array([[PRIME - pow(40000, -1, PRIME)]]), PRIME) is None
+        # modulo PRIME alone -1/40000 has no reconstruction, or a wrong one
+        lifted = linalg._lift(np.array([[PRIME - pow(40000, -1, PRIME)]]), PRIME)
+        assert lifted is None or [x.tolist() for x in lifted] != [[[-1]], [40000]]
 
     def test_unlucky_prime_falls_back_to_exact_rank(self, monkeypatch):
         rows = [[1, 1], [1, 4], [0, 0]]  # its 2x2 minors are 0 and 3
