@@ -449,11 +449,14 @@ def main(argv=None) -> int:
         seconds=seconds,
         seeds=[list(s) for s in args.seeds],
     )
-    if args.json:
-        print(report.to_json())
-    else:
-        for line in lines:
+    try:
+        for line in [report.to_json()] if args.json else lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader that closed early: no output is owed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -366,14 +366,18 @@ def substitute_linear(f: NcPoly, subst: Mapping[int, NcPoly]) -> NcPoly:
     return NcPoly._from_terms(out)
 
 
-def multilinear_words(n: int) -> list[Word]:
-    """The n! degree-n multilinear words, in lexicographic order of the
-    permutation.  Every dense multilinear computation (evaluation kernels)
-    starts here, so DEFAULT_DEGREE_CAP bounds them all; consequence spans
-    are ranked one partition at a time instead, up to
-    structure.ISOTYPIC_DEGREE_CAP."""
+def _check_dense_degree(n: int) -> None:
+    """DEFAULT_DEGREE_CAP bounds every computation over the n! multilinear
+    words (evaluation kernels); consequence spans are ranked one partition
+    at a time instead, up to structure.ISOTYPIC_DEGREE_CAP."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > DEFAULT_DEGREE_CAP:
         raise ValueError(f"degree {n} above cap {DEFAULT_DEGREE_CAP}")
+
+
+def multilinear_words(n: int) -> list[Word]:
+    """The n! degree-n multilinear words, in lexicographic order of the
+    permutation (the rows of _permutation_rows(n)[0] + 1)."""
+    _check_dense_degree(n)
     return list(itertools.permutations(range(1, n + 1)))

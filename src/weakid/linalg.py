@@ -1,6 +1,9 @@
-"""Exact rational linear algebra: rank and linear solving, no floating point.
+"""Exact rational linear algebra: rank, linear solving and integer products.
 
-Ranks over a word-size prime field are lower bounds for the rational rank;
+No rounded value reaches a result: exact_product runs float32 or float64
+BLAS products only where every partial sum is an integer that the float
+represents exactly, and int64 or Python ints elsewhere.  Ranks over a
+word-size prime field are lower bounds for the rational rank;
 certified_rank makes one exact by checking a lifted kernel basis.
 """
 
@@ -122,15 +125,24 @@ def _row_blocks(a: np.ndarray):
     return (slice(start, start + BLOCK_ROWS) for start in range(0, a.shape[0], BLOCK_ROWS))
 
 
-def _echelon(a: np.ndarray, p: int, reduced: bool) -> list[int]:
+def _pivot_step(a: np.ndarray, row: int, col: int, rows: np.ndarray, p: int) -> None:
+    """Scale a[row] to a 1 at col and subtract it, from col on, from the
+    rows, whose entries in the column are reduced modulo p.  Reductions are
+    delayed: only the pivot row is reduced, and each term subtracted is
+    below p^2, so an entry stays below p + pivots * p^2 in magnitude."""
+    prow = a[row, col:] % p
+    prow *= pow(int(prow[0]), -1, p)
+    prow %= p
+    a[row, col:] = prow
+    a[rows, col:] -= a[rows, col, None] * prow
+
+
+def _echelon(a: np.ndarray, p: int) -> list[int]:
     """Row-reduce the int64 residues a modulo p in place; the pivot columns.
 
     Each pivot row is scaled to a leading 1 and cleared from the rows below
-    it, or with ``reduced`` from every other row (reduced echelon form).
-    Reductions are delayed: a step reduces only its pivot column and pivot
-    row, and subtracts their outer product, each term below p^2, from the
-    rows that are nonzero in the column; one pass at the end reduces the
-    rest.  An entry thus stays below p + pivots * p^2 in magnitude.
+    it that are nonzero in its column (_pivot_step); one pass at the end
+    reduces the rest.
     """
     nrows, ncols = a.shape
     if (min(nrows, ncols) + 1) * p * p >= 2**63:
@@ -140,23 +152,41 @@ def _echelon(a: np.ndarray, p: int, reduced: bool) -> list[int]:
         rank = len(pivots)
         if rank == nrows:
             break
-        top = 0 if reduced else rank
-        column = a[top:, col]
+        column = a[rank:, col]
         column %= p
-        nz = np.flatnonzero(a[rank:, col])
+        nz = np.flatnonzero(column) + rank
         if nz.size == 0:
             continue
-        if nz[0]:
-            a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
-        prow = a[rank, col:] % p
-        prow *= pow(int(prow[0]), -1, p)
-        prow %= p
-        a[rank, col:] = prow
-        rows = np.flatnonzero(column) + top
-        rows = rows[rows != rank]
-        a[rows, col:] -= a[rows, col, None] * prow
+        if nz[0] != rank:  # row rank is zero in the column, so it swaps out
+            a[[rank, nz[0]]] = a[[nz[0], rank]]
+        _pivot_step(a, rank, col, nz[1:], p)
         pivots.append(col)
     a %= p
+    return pivots
+
+
+def _diagonal_echelon(g: np.ndarray, p: int) -> list[int]:
+    """Gauss-Jordan on the diagonal of the symmetric int64 residues g modulo
+    p, in place; the pivot columns, whose principal minor is nonzero mod p.
+
+    Column j is a pivot when its diagonal entry is nonzero modulo p, and
+    row j is cleared from every other row nonzero in it (_pivot_step): no
+    search, no swap, and a skipped column costs one read.  Over Q a zero
+    diagonal entry of a Schur complement of a Gram matrix means a zero
+    column, and the pivot rows are those of the reduced echelon form, up to
+    multiples of p; modulo p such a column (an isotropic one) need not be.
+    """
+    if (len(g) + 1) * p * p >= 2**63:
+        raise ValueError(f"{len(g)} pivots modulo {p} could overflow int64")
+    pivots: list[int] = []
+    for col in range(len(g)):
+        if not g[col, col] % p:
+            continue
+        column = g[:, col]
+        column %= p
+        rows = np.flatnonzero(column)
+        _pivot_step(g, col, col, rows[rows != col], p)
+        pivots.append(col)
     return pivots
 
 
@@ -298,14 +328,16 @@ def _magnitude(a: np.ndarray) -> int:
 def certified_rank(rows) -> int:
     """Rank over Q of an integer matrix, certified through prime fields.
 
-    With the smaller dimension as the c columns, one Gauss-Jordan pass
-    modulo PRIME gives the rank r_p <= rank_Q and the c - r_p kernel vectors
-    of the reduced echelon form, independent through their identity block
-    at the free columns.  Lifted to integers (_lift) and checked exactly to
-    vanish under the matrix, they prove rank_Q <= r_p.  If the lift or the
-    check fails, the residues modulo PRIME2, then PRIME3, are combined with
-    the earlier ones (Chinese remainders) and lifted again.  After the last
-    prime, or when a prime gives other pivots (an unlucky prime), the rank
+    With the smaller dimension as the c columns, the c x c Gram matrix G
+    has the matrix's rank and kernel.  Its diagonal pivots modulo PRIME
+    (_diagonal_echelon) give a principal minor nonzero modulo PRIME, so
+    r_p of them prove r_p <= rank_Q.  The c - r_p kernel vectors read from
+    the pivot rows, independent through their identity block at the free
+    columns, are lifted to integers (_lift) and checked exactly to vanish
+    under G: rank_Q <= r_p.  If the lift or the check fails (as past an
+    isotropic column), the residues modulo PRIME2, then PRIME3, are
+    combined with the earlier ones (Chinese remainders) and lifted again.
+    After the last prime, or when a prime gives other pivots, the rank
     comes from exact_rank.
     """
     a = _integer_matrix(rows)
@@ -313,25 +345,26 @@ def certified_rank(rows) -> int:
         return 0
     if a.shape[0] < a.shape[1]:
         a = a.T
+    g = gram(a)
     pivots, k, m = None, None, 1
     for p in (PRIME, PRIME2, PRIME3):
-        res = _residues(a, p)
-        got = _echelon(res, p, reduced=True)
+        res = _residues(g, p)
+        got = _diagonal_echelon(res, p)
         if pivots is None:
             pivots = got
-            if len(pivots) == a.shape[1]:
+            if len(pivots) == len(g):
                 return len(pivots)
-            free = np.ones(a.shape[1], dtype=bool)
+            free = np.ones(len(g), dtype=bool)
             free[pivots] = False
         elif got != pivots:
             break
-        kp = -res[: len(pivots)][:, free] % p
+        kp = -res[pivots][:, free] % p
         del res
         # k + m * t < m * p < 2^60, and so is every product on the way
         k = kp if k is None else k + m * ((kp - k) % p * pow(m, -1, p) % p)
         m *= p
         lifted = _lift(k.copy(), m)
-        if lifted is not None and _in_kernel(a, pivots, free, *lifted):
+        if lifted is not None and _in_kernel(g, pivots, free, *lifted):
             return len(pivots)
     return exact_rank(a.tolist())
 

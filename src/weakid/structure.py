@@ -33,8 +33,9 @@ from .freealg import (
     NcPoly,
     SQUARE_COMMUTATOR,
     Word,
+    _check_dense_degree,
+    _permutation_rows,
     multidegree,
-    multilinear_words,
     multilinearize,
     standard_poly,
     word_key,
@@ -52,7 +53,6 @@ from .linalg import (
     _pivot_rows,
     certified_rank,
     exact_product,
-    gram,
     solve_exact,
 )
 from .pairs import (
@@ -299,12 +299,13 @@ class RankReport:
     (generator, cut) pairs, and rank is the sum of f_lam times the rank of
     each lam's stacked blocks (SpanKernelReport.isotypic).
     kernel_dim = n! - rank and quotient_dim = rank always hold.  The rank
-    is exact over Q: linalg.certified_rank takes it modulo a prime below
-    2^20 (a lower bound) and proves the upper bound with a kernel basis
-    lifted to integers and checked exactly, else ranks exactly.  A Clifford
-    kernel is ranked through the Gram matrix of its orbit sign matrix,
-    which has the same rank, in two blocks by reversal parity.  A span's
-    lam-rank may instead meet its bound modulo a prime.
+    is exact over Q: linalg.certified_rank reduces the Gram matrix of its
+    input on the diagonal modulo a prime below 2^20, whose pivots give a
+    principal minor nonzero modulo the prime (a lower bound), and proves
+    the upper bound with a kernel basis lifted to integers and checked
+    exactly, else ranks exactly.  A Clifford kernel is ranked as its orbit
+    sign matrix, in two blocks by reversal parity.  A span's lam-rank may
+    instead meet its bound modulo a prime.
     A span_vs_kernel kernel always comes from those bounds (rows n!, cols
     k^n, no matrix built), so its seeds are empty; for evaluation_kernel
     seeds are the form values at which the orbit sign matrix was
@@ -339,7 +340,7 @@ def _relabelled_prediction(sign: int, rep: list[int], t: list[int], k: int) -> t
 
 
 def _spot_check_orbit_signs(
-    words: Sequence[Word], signs: np.ndarray, k: int, rng: random.Random
+    words: np.ndarray, signs: np.ndarray, k: int, rng: random.Random
 ) -> None:
     """Multiply out sampled (word, tuple) pairs and compare each with the
     orbit prediction, as (sign, q-exponents, blade) triples.
@@ -349,17 +350,17 @@ def _spot_check_orbit_signs(
     value is multiplied in: both sides have the q-exponents and blade of
     the tuple, so the values would scale them alike.
     """
-    reps = orbit_representatives(len(words[0]), k)
+    reps = orbit_representatives(words.shape[1], k)
     for cell in rng.sample(range(signs.size), min(64, signs.size)):
         i, j = divmod(cell, signs.shape[1])
-        rep = [int(r) for r in reps[j]]
+        word, rep = tuple(words[i].tolist()), reps[j].tolist()
         relabel = rng.sample(range(1, k + 1), k)
         t = [relabel[r - 1] for r in rep]
         want = _relabelled_prediction(int(signs[i, j]), rep, t, k)
-        got = basis_product([t[g - 1] for g in words[i]], k)
+        got = basis_product([t[g - 1] for g in word], k)
         if got != want:
             raise ArithmeticError(
-                f"word {words[i]} at basis tuple {tuple(t)} evaluates to "
+                f"word {word} at basis tuple {tuple(t)} evaluates to "
                 f"(sign, q-exponents, blade) {got}, orbit sign matrix predicts {want}"
             )
 
@@ -374,12 +375,12 @@ def evaluation_kernel(
     factors as a nonzero parameter monomial times an integer sign vector, so
     the generic rank is certified_rank of the sign vectors, one per orbit
     of basis tuples under relabelling (the other columns repeat these up to
-    sign).  That matrix S is dense +-1 with far more rows than rank, so the
-    rank is taken of its Gram matrix S^T S instead: the same rank over Q and
-    the same kernel vectors, which certify it.  The words are closed under
-    reversal, which flips every sign in the columns where reversal_odd
-    holds and keeps the others, so S^T S vanishes between the two classes
-    of columns and each class is ranked on its own.  Each requested list of
+    sign).  That matrix S is dense +-1 with far more rows than rank, and
+    certified_rank ranks it through its Gram matrix S^T S: the same rank
+    over Q and the same kernel vectors, which certify it.  The words are
+    closed under reversal, which flips every sign in the columns where
+    reversal_odd holds and keeps the others, so S^T S vanishes between the
+    two classes of columns and each class is ranked on its own.  Each requested list of
     form values (seeds) spot-checks the factorization itself: a sample of
     sign matrix entries is compared with products of basis vectors,
     multiplied out as (sign, q-exponents, blade) triples.  The values are
@@ -388,7 +389,8 @@ def evaluation_kernel(
     entry matrix is phi of that of clifford:3 (see ``pairs``), and takes no
     seeds.
     """
-    words = multilinear_words(n)
+    _check_dense_degree(n)
+    words = _permutation_rows(n)[0] + 1  # multilinear_words(n) as int8 rows
     nfact = len(words)
     if isinstance(target, CliffordPair):
         cols = target.k ** n
@@ -405,7 +407,7 @@ def evaluation_kernel(
         FormParams(k, tuple(primes[:k]))
     signs = orbit_sign_matrix(words, k)
     odd = reversal_odd(n, k)
-    rank = sum(certified_rank(gram(signs[:, cols])) for cols in (~odd, odd))
+    rank = sum(certified_rank(signs[:, cols]) for cols in (~odd, odd))
     rng = random.Random(0)
     for _ in seeds:
         _spot_check_orbit_signs(words, signs, k, rng)
@@ -485,7 +487,7 @@ class _SpanGenerator:
                 self._rows[mu, p] = rows.reshape(-1, f)
             else:
                 block = block % p
-                self._rows[mu, p] = block[:len(_echelon(block, p, reduced=False))]
+                self._rows[mu, p] = block[:len(_echelon(block, p))]
         return self._rows[mu, p]
 
 
@@ -545,7 +547,7 @@ def _block_rank(lam: Partition, gens: Sequence[_SpanGenerator], p: int | None) -
         return 0
     if p is None:
         return certified_rank([_int_row(row) for x in blocks for row in x.tolist()])
-    return len(_echelon(np.vstack(blocks), p, reduced=False))
+    return len(_echelon(np.vstack(blocks), p))
 
 
 def _check_degree(n: int) -> None:

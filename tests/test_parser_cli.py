@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -390,6 +394,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "out of memory" in captured.err
         assert "--max-degree 4" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--json", "theorem1", "--n", "4"],
+        ["check", "--pair", "clifford:3", "[x1^2,x2]"],
+    ], ids=["json", "text"])
+    def test_closed_stdout_keeps_the_exit_code(self, argv):
+        # a reader that closes the pipe at once (as `| head -0` does) used to
+        # get a BrokenPipeError traceback and exit 1, the "fails" code
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        run = subprocess.Popen([sys.executable, "-m", "weakid.cli", *argv], env=env,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        run.stdout.close()
+        err = run.stderr.read().decode()
+        assert run.wait(timeout=60) == 0
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_bad_pair_exit_2(self, capsys):
         assert main(["check", "--pair", "clifford:0", "x1"]) == 2

@@ -808,21 +808,38 @@ def low_rank_residues(draw):
 
 
 def assert_echelon_matches_oracle(a: np.ndarray) -> None:
-    """_echelon of a copy of the residues a, reduced and not, against the
-    pure-Python echelon_mod_p: the same pivots, residues below PRIME, a
-    leading 1 on each pivot row with zeros to its left and below the rank,
-    and in the reduced case the same rows."""
+    """_echelon of a copy of the residues a against the pure-Python
+    echelon_mod_p: the same pivots, residues below PRIME, a leading 1 on
+    each pivot row with zeros to its left and below the rank, and rows
+    whose reduced echelon form is the oracle's."""
     pivots, rows = echelon_mod_p(a)
-    for reduced in (False, True):
-        got = a.copy()
-        assert linalg._echelon(got, PRIME, reduced) == pivots
-        assert ((0 <= got) & (got < PRIME)).all()
-        assert not got[len(pivots):].any()
-        for i, col in enumerate(pivots):
-            assert not got[i, :col].any() and got[i, col] == 1
-            assert not got[i + 1:, col].any()
-        if reduced:
-            assert got[:len(pivots)].tolist() == rows
+    got = a.copy()
+    assert linalg._echelon(got, PRIME) == pivots
+    assert ((0 <= got) & (got < PRIME)).all()
+    assert not got[len(pivots):].any()
+    for i, col in enumerate(pivots):
+        assert not got[i, :col].any() and got[i, col] == 1
+        assert not got[i + 1:, col].any()
+    assert echelon_mod_p(got[:len(pivots)]) == (pivots, rows)
+
+
+@st.composite
+def gram_residues(draw):
+    """A prime and the residues modulo it of the Gram matrix A^T A of a
+    small integer matrix A (1 to 6 rows, 1 to 4 columns, entries -2..2,
+    some columns zero or repeated up to sign): PRIME, or a prime small
+    enough that a diagonal entry of a Schur complement can vanish modulo it
+    while its column does not (an isotropic column).  By Cauchy-Binet and
+    Hadamard's bound every principal minor of A^T A is below 15 * 4^8 <
+    PRIME, so modulo PRIME none is isotropic."""
+    p = draw(st.sampled_from([PRIME, 3, 5, 7]))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    a = np.array(draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                               min_size=nrows, max_size=nrows)), dtype=np.int64)
+    for col in draw(st.sets(st.integers(0, ncols - 1))):
+        a[:, col] = a[:, draw(st.integers(0, ncols - 1))] * draw(st.integers(-1, 1))
+    return p, linalg.gram(a) % p
 
 
 class TestLinalg:
@@ -885,8 +902,25 @@ class TestLinalg:
         assert_echelon_matches_oracle(a.astype(np.int64))
 
     def test_echelon_refuses_pivots_past_the_int64_bound(self):
-        with pytest.raises(ValueError, match="overflow int64"):
-            linalg._echelon(np.zeros((2, 2), dtype=np.int64), 2**31 - 1, reduced=True)
+        for echelon in (linalg._echelon, linalg._diagonal_echelon):
+            with pytest.raises(ValueError, match="overflow int64"):
+                echelon(np.zeros((2, 2), dtype=np.int64), 2**31 - 1)
+
+    @given(gram_residues())
+    def test_diagonal_pivots_match_the_oracle(self, case):
+        # the pivots give a principal minor nonzero modulo p, so never more
+        # of them than the rank modulo p; with no isotropic column (always
+        # modulo PRIME here) they are the oracle's, and wherever they are,
+        # so are the pivot rows
+        p, g = case
+        pivots, rows = echelon_mod_p(g, p)
+        got = g.copy()
+        diagonal = linalg._diagonal_echelon(got, p)
+        assert len(diagonal) <= len(pivots)
+        if p == PRIME:
+            assert diagonal == pivots
+        if diagonal == pivots:
+            assert (got[pivots] % p).tolist() == rows
 
     def test_rank_mod_p_drops_when_p_divides_the_minors(self):
         rows = [[1, 1, 0], [1, 1 + PRIME, 0]]  # its only nonzero 2x2 minor is p
@@ -1204,16 +1238,16 @@ class TestCertifiedRank:
         # the kernel vectors (-1/40000, 1, 0) and (-7/40000, 0, 1) have a
         # denominator above sqrt(PRIME / 2) = 724
         primes = []
-        echelon = linalg._echelon
+        echelon = linalg._diagonal_echelon
 
-        def recorded(a, p, reduced):
+        def recorded(a, p):
             primes.append(p)
-            return echelon(a, p, reduced)
+            return echelon(a, p)
 
         def forbidden(rows):
             raise AssertionError("exact_rank called")
 
-        monkeypatch.setattr(linalg, "_echelon", recorded)
+        monkeypatch.setattr(linalg, "_diagonal_echelon", recorded)
         monkeypatch.setattr(linalg, "exact_rank", forbidden)
         rows = [[40000, 1, 7], [80000, 2, 14], [-40000, -1, -7]]
         assert linalg.certified_rank(rows) == 1
@@ -1235,6 +1269,17 @@ class TestCertifiedRank:
         monkeypatch.setattr(linalg, "exact_rank", counted_exact_rank)
         assert linalg.certified_rank(rows) == 2
         assert exact_calls == [rows]
+
+    def test_isotropic_column_is_not_taken_for_a_zero_column(self, monkeypatch):
+        # the first Gram diagonal entry 1^2 + 2^2 vanishes modulo 5, but its
+        # column does not: one diagonal pivot where the rank modulo 5 is 2,
+        # a kernel vector that fails the exact check, and other pivots
+        # modulo the next prime
+        g = linalg.gram([[1, 0], [2, 1]])
+        assert g.tolist() == [[5, 2], [2, 1]] and rank_mod_p(g, 5) == 2
+        assert linalg._diagonal_echelon(g % 5, 5) == [1]
+        monkeypatch.setattr(linalg, "PRIME", 5)
+        assert linalg.certified_rank([[1, 0], [2, 1]]) == 2
 
     def test_kernel_cells_and_spans_need_no_exact_rank(self, monkeypatch):
         def forbidden(rows):
