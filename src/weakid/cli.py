@@ -138,16 +138,14 @@ def _rank_report_lines(r: RankReport, dims: dict[str, int] | None = None) -> lis
 
 
 def _span_kernel_lines(r: SpanKernelReport, what: str) -> list[str]:
-    lines = [
+    return [
         f"{what}: {'PASS' if r.ok else 'FAIL'}",
         f"span rank       {r.span.rank}",
         f"kernel dim      {r.kernel.kernel_dim}",
         f"quotient dim    {r.kernel.quotient_dim}",
         f"span in kernel  {'yes' if r.containment_ok else 'NO'}",
+        f"predicted quotient dim  {r.predicted_quotient}",
     ]
-    if r.predicted_quotient is not None:
-        lines.append(f"predicted quotient dim  {r.predicted_quotient}")
-    return lines
 
 
 # -- command handlers: return (inputs, outcome, human lines, exit code) -----
@@ -156,8 +154,6 @@ def _span_kernel_lines(r: SpanKernelReport, what: str) -> list[str]:
 def _cmd_check(args):
     target = _parse_pair(args.pair)
     f = parse_poly(args.expr, max_degree=args.max_degree)
-    if f.is_zero():
-        raise ValueError("the zero polynomial is not a meaningful candidate")
     witness = is_weak_identity(f, target, max_degree=args.max_degree)
     inputs = {"pair": args.pair, "expr": args.expr}
     if witness is None:
@@ -324,10 +320,6 @@ _HANDLERS = {
 }
 
 
-def _env_max_degree() -> int:
-    return int(os.environ.get("WID_MAX_DEGREE", DEFAULT_DEGREE_CAP))
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weakid",
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--max-degree",
         type=int,
-        default=_env_max_degree(),
+        default=DEFAULT_DEGREE_CAP,
         help="degree cap for expressions and for standard (default 7); dim is "
         "capped at degree 7 regardless, span, theorem1 and corollary1 at degree 10",
     )
@@ -417,14 +409,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        max_degree = _env_max_degree()  # WID_MAX_DEGREE as of this call
-    except ValueError:
-        print("error: WID_MAX_DEGREE must be an integer", file=sys.stderr)
-        return 2
-    ap = _parser()
-    ap.set_defaults(max_degree=max_degree)
-    args = ap.parse_args(_dash_expression_last(list(sys.argv[1:] if argv is None else argv)))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(_dash_expression_last(argv))
     try:
         args.seeds = _parse_seeds(args.seeds)
     except ValueError as exc:

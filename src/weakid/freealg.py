@@ -302,14 +302,6 @@ def multihomogeneous_components(f: NcPoly) -> list[NcPoly]:
     return comps
 
 
-def is_multilinear(f: NcPoly) -> bool:
-    try:
-        md = multidegree(f)
-    except ValueError:
-        return False
-    return all(d == 1 for d in md.values())
-
-
 def multilinearize(f: NcPoly) -> NcPoly:
     """Full polarization of a multihomogeneous polynomial.
 

@@ -337,8 +337,10 @@ def certified_rank(rows) -> int:
     under G: rank_Q <= r_p.  If the lift or the check fails (as past an
     isotropic column), the residues modulo PRIME2, then PRIME3, are
     combined with the earlier ones (Chinese remainders) and lifted again.
-    After the last prime, or when a prime gives other pivots, the rank
-    comes from exact_rank.
+    Any prime's pivots prove a lower bound: full rank ends the loop, more
+    pivots than the lifted ones restart the lift from that prime, and
+    other pivots skip the prime.  After the last prime the rank comes from
+    exact_rank.
     """
     a = _integer_matrix(rows)
     if 0 in a.shape:
@@ -350,14 +352,14 @@ def certified_rank(rows) -> int:
     for p in (PRIME, PRIME2, PRIME3):
         res = _residues(g, p)
         got = _diagonal_echelon(res, p)
-        if pivots is None:
-            pivots = got
-            if len(pivots) == len(g):
-                return len(pivots)
+        if len(got) == len(g):
+            return len(got)
+        if pivots is None or len(got) > len(pivots):
+            pivots, k, m = got, None, 1
             free = np.ones(len(g), dtype=bool)
             free[pivots] = False
         elif got != pivots:
-            break
+            continue
         kp = -res[pivots][:, free] % p
         del res
         # k + m * t < m * p < 2^60, and so is every product on the way

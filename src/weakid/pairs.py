@@ -112,9 +112,6 @@ class Mat2:
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
-
     def __str__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
@@ -170,19 +167,13 @@ class Witness:
     component: NcPoly = field(repr=False, default=None)
 
 
-def _integer_rows(ml: NcPoly) -> tuple[np.ndarray, list[int], int]:
-    """A multilinear polynomial as integer rows: its words with the letters
-    renamed to 1..n in sorted order (an int array, one row per word), the
-    coefficients times their common denominator den, and den."""
-    words, (coeffs,), (den,) = _batch_rows([ml])
-    return words, coeffs, den
-
-
 def _batch_rows(mls: list) -> tuple[np.ndarray, list, list[int]]:
-    """Multilinear components of one degree as _integer_rows: the words of
-    all, stacked in order, each one's renamed by its own sorted letters; and
-    the coefficient row and den of each.  A parser RowComponent gives its
-    rows as they are; a run of NcPolys is read in one pass."""
+    """Multilinear components of one degree as integer rows: the words of
+    all, stacked in order, each one's with its letters renamed to 1..n in
+    sorted order (an int array, one row per word); and the coefficients of
+    each times their common denominator den, and den.  A parser
+    RowComponent gives its rows as they are; a run of NcPolys is read in
+    one pass."""
     parts, rows, dens = [], [], []
     for kind, run in itertools.groupby(mls, key=type):
         if kind is RowComponent:

@@ -23,8 +23,8 @@ read.
 
 Brackets nest at most MAX_NESTING deep.  parse_poly can bound the degree
 and the number of terms from the syntax tree before expanding anything
-(degree_bound, term_bound).  A power that could reach MAX_POWER_BITS-bit
-coefficients is refused unexpanded.
+(_bounds).  A power that could reach MAX_POWER_BITS-bit coefficients is
+refused unexpanded.
 """
 
 from __future__ import annotations
@@ -219,16 +219,6 @@ def _bounds(ast: ExprAst) -> tuple[int, int]:
     else:
         raise ValueError(f"unknown AST node {tag!r}")
     return degree, min(terms, MAX_TERMS + 1) if degree else 1
-
-
-def degree_bound(ast: ExprAst) -> int:
-    """The degree bound of ``_bounds``."""
-    return _bounds(ast)[0]
-
-
-def term_bound(ast: ExprAst) -> int:
-    """The term bound of ``_bounds``, saturated at MAX_TERMS + 1."""
-    return _bounds(ast)[1]
 
 
 def lower_expr(ast: ExprAst) -> NcPoly:

@@ -13,13 +13,6 @@ from typing import Mapping, Sequence, Union
 Coeff = Union[int, Fraction]
 
 
-def rat_normalize(num: int, den: int = 1) -> Fraction:
-    """Canonical reduced rational with positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    return Fraction(num, den)
-
-
 class ParamPoly:
     """Commutative polynomial in q_1..q_k with rational coefficients.
 
@@ -197,8 +190,3 @@ class ParamPoly:
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
-
-
-def param_specialize(p: ParamPoly, assign: Mapping[int, Coeff] | Sequence[Coeff]) -> Fraction:
-    """Ring-homomorphism specialization of the parameters to rationals."""
-    return p.specialize(assign)

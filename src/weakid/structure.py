@@ -60,7 +60,6 @@ from .pairs import (
     MatrixPair,
     PairTarget,
     _batch_rows,
-    _integer_rows,
     _multilinear,
     is_weak_identity,
 )
@@ -164,19 +163,13 @@ def _insertion_ab(n: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def lemma2_coeffs(n: int, k: int) -> InsertionCoeffs:
-    """Insertion coefficients alpha(n,k), beta(n,k), with the symmetry
-    alpha(n,k) = beta(n,n-k) verified on the computed values."""
+    """Insertion coefficients alpha(n,k), beta(n,k), by the recursion; they
+    satisfy alpha(n,k) = beta(n,n-k)."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
     alpha, beta = _insertion_ab(n, k)
-    alpha_m, beta_m = _insertion_ab(n, n - k)
-    if alpha != beta_m or beta != alpha_m:
-        raise ArithmeticError(
-            f"insertion-coefficient symmetry violated at (n,k)=({n},{k}): "
-            f"({alpha},{beta}) vs mirrored ({beta_m},{alpha_m})"
-        )
     return InsertionCoeffs(n=n, k=k, alpha=alpha, beta=beta)
 
 
@@ -444,16 +437,13 @@ class SpanKernelReport:
     span: RankReport
     kernel: RankReport
     containment_ok: bool
-    predicted_quotient: int | None = None
+    predicted_quotient: int
     isotypic: tuple[IsotypicRow, ...] = ()
 
 
 #: Degree cap of every per-partition rank: consequence_span_dim,
 #: in_consequence_span, span_vs_kernel, theorem1_check and corollary1_check.
 ISOTYPIC_DEGREE_CAP = 10
-#: The prime of the per-partition ranks.  Any prime p >= n is valid: it
-#: divides no denominator of the seminormal form, so rank_p <= rank_Q.
-SEMINORMAL_PRIME = PRIME
 
 
 @dataclass(frozen=True)
@@ -492,7 +482,7 @@ class _SpanGenerator:
 
 
 def _poly_generator(g: NcPoly) -> _SpanGenerator:
-    words, coeffs, _ = _integer_rows(multilinearize(g))
+    words, (coeffs,), _ = _batch_rows([multilinearize(g)])
     return _SpanGenerator(words.shape[1], tuple(zip(map(tuple, words.tolist()), coeffs)), g)
 
 
@@ -575,7 +565,8 @@ def _isotypic_ranks(
       generator is a weak identity (_holds), as K is closed under renaming
       and products by words;
     - upper bound: m_lam(P_n/K) <= m_lam(P_n/span) <= f_lam - rank_p, the
-      rank modulo SEMINORMAL_PRIME, with the span inside K;
+      rank modulo linalg.PRIME, with the span inside K: a prime p >= n
+      divides no denominator of the seminormal form, so rank_p <= rank_Q;
     - lower bound: m_lam(P_n/K) >= [l(lam) <= k], as lam's highest-weight
       vector prod_j S_{c_j}(x_1..x_{c_j}) (c_j the column heights) is no
       weak identity: at x_i -> e_i each factor is c_j! e_1...e_{c_j}, so
@@ -593,7 +584,7 @@ def _isotypic_ranks(
     def rows():
         for lam in partitions(n):
             f, witnessed = hook_dim(lam), int(len(lam) <= k)
-            rank = _block_rank(lam, gens, SEMINORMAL_PRIME)
+            rank = _block_rank(lam, gens, PRIME)
             if rank != (f - witnessed if containment else f):
                 rank = _block_rank(lam, gens, None)
             yield IsotypicRow(lam, f, rank, f - rank, witnessed)
@@ -728,27 +719,13 @@ class StandardFactorization:
     verified: bool = field(default=False)
 
 
-def _distinct_words(multiset: Sequence[int]) -> list[Word]:
-    return sorted(set(itertools.permutations(multiset)))
-
-
-def _sub_multisets(multiset: Sequence[int]) -> list[tuple[int, ...]]:
-    values = sorted(set(multiset))
-    counts = [multiset.count(v) for v in values]
-    subs = []
-    for choice in itertools.product(*(range(c + 1) for c in counts)):
-        sub = tuple(
-            v for v, c in zip(values, choice) for _ in range(c)
-        )
-        subs.append(sub)
-    return subs
-
-
-def _multiset_difference(multiset: Sequence[int], sub: Sequence[int]) -> tuple[int, ...]:
-    pool = list(multiset)
-    for v in sub:
-        pool.remove(v)
-    return tuple(pool)
+def _splits(multiset: Sequence[int]) -> list[tuple[Word, Word]]:
+    """The pairs (d, e) with d + e a distinct word of the multiset: every
+    split of every word, ordered by d's count of each letter, then d, e."""
+    letters = sorted(set(multiset))
+    words = set(itertools.permutations(multiset))
+    return sorted({(w[:i], w[i:]) for w in words for i in range(len(w) + 1)},
+                  key=lambda de: ([de[0].count(v) for v in letters], de))
 
 
 def interleaved_alternating_sum(n: int, ys: Sequence[Word]) -> NcPoly:
@@ -791,20 +768,10 @@ def factor_through_standard(n: int, ys: Sequence[Sequence[int]]) -> StandardFact
     multiset = tuple(sorted(i for y in ys for i in y))
 
     if variant == "right":
-        cand_words = _distinct_words(multiset)
-        candidates = [sn * NcPoly.monomial(w) for w in cand_words]
-        labels = [("", w) for w in cand_words]
+        labels = [((), w) for w in sorted(set(itertools.permutations(multiset)))]
     else:
-        labels = []
-        candidates = []
-        for sub in _sub_multisets(multiset):
-            comp = _multiset_difference(multiset, sub)
-            for d in _distinct_words(sub):
-                for e in _distinct_words(comp):
-                    labels.append((d, e))
-                    candidates.append(
-                        NcPoly.monomial(d) * sn * NcPoly.monomial(e)
-                    )
+        labels = _splits(multiset)
+    candidates = [NcPoly.monomial(d) * sn * NcPoly.monomial(e) for d, e in labels]
 
     if lhs.is_zero():
         coeffs = [Fraction(0)] * len(candidates)

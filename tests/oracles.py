@@ -7,8 +7,9 @@ invertible substitutions for the GL-invariance tests, Young's seminormal
 generators entry by entry, the seminormal form of a permutation and of a
 group-algebra element term by term, the decision procedure's integer rows
 and witnesses by full polarization and whole sign matrices, the decision
-procedure one component at a time, and the dense consequence span and
-span-versus-kernel comparison over all n! multilinear words.
+procedure one component at a time, the dense consequence span and
+span-versus-kernel comparison over all n! multilinear words, and the
+candidate splits of factor_through_standard by sub-multisets.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def component_loop_witness(f: NcPoly, target: PairTarget,
         if isinstance(target, CliffordPair) and target.form.values is None and target.k > n:
             pair = CliffordPair.symbolic(max(n, 1))
         form = pair.form
-        words, coeffs, den = pairs._integer_rows(ml)
+        words, (coeffs,), (den,) = pairs._batch_rows([ml])
         row = np.array([coeffs], dtype=linalg._signed_dtype(max(map(abs, coeffs))))
         step = max(1, pairs.ORBIT_BLOCK_ENTRIES // len(words))
         for block, signs in enumerate(clifford.orbit_sign_blocks(words, form.k, step)):
@@ -408,3 +409,32 @@ def dense_span_vs_kernel(n: int, k: int, generators: Sequence[NcPoly]) -> dict:
         "kernel_dim": kernel.kernel_dim,
         "quotient_dim": kernel.quotient_dim,
     }
+
+
+def distinct_words(multiset: Sequence[int]) -> list[tuple[int, ...]]:
+    return sorted(set(itertools.permutations(multiset)))
+
+
+def sub_multisets(multiset: Sequence[int]) -> list[tuple[int, ...]]:
+    values = sorted(set(multiset))
+    counts = [multiset.count(v) for v in values]
+    subs = []
+    for choice in itertools.product(*(range(c + 1) for c in counts)):
+        subs.append(tuple(v for v, c in zip(values, choice) for _ in range(c)))
+    return subs
+
+
+def multiset_difference(multiset: Sequence[int], sub: Sequence[int]) -> tuple[int, ...]:
+    pool = list(multiset)
+    for v in sub:
+        pool.remove(v)
+    return tuple(pool)
+
+
+def factor_splits(multiset: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The two-sided candidates (d, e) of factor_through_standard as it built
+    them: each sub-multiset in the order of its letter counts, then every
+    word d of it with every word e of the rest, both in sorted order."""
+    return [(d, e) for sub in sub_multisets(multiset)
+            for d in distinct_words(sub)
+            for e in distinct_words(multiset_difference(multiset, sub))]

@@ -86,7 +86,8 @@ def test_criterion_3_insertion_coefficients(capsys):
     ok = ok and (c31.alpha, c31.beta) == (Fraction(-2, 3), Fraction(1, 3))
     for n in range(2, 9):
         for k in range(1, n):
-            lemma2_coeffs(n, k)  # raises on symmetry violation
+            co, mirror = lemma2_coeffs(n, k), lemma2_coeffs(n, n - k)
+            ok = ok and (co.alpha, co.beta) == (mirror.beta, mirror.alpha)
     for n in range(2, 6):
         pair = CliffordPair.symbolic(n + 1)
         for k in range(1, n):

@@ -384,8 +384,9 @@ class TestComponentRows:
         want = oracles.component_rows(f)
         assert len(comps) == len(want)
         for comp, rows in zip(comps, want):
-            got = pairs._integer_rows(pairs._multilinear(comp, DEFAULT_DEGREE_CAP))
-            assert row_multiset(got) == row_multiset(rows) and got[2] == rows[2]
+            words, (coeffs,), (den,) = pairs._batch_rows(
+                [pairs._multilinear(comp, DEFAULT_DEGREE_CAP)])
+            assert row_multiset((words, coeffs, den)) == row_multiset(rows) and den == rows[2]
         w = is_weak_identity(f, CliffordPair.symbolic(k))
         found = None if w is None else (w.assignment, str(w.value))
         assert found == oracles.clifford_witness(f, k)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,32 +7,36 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import weakid
 from weakid import cli, pairs, parser
 from weakid.cli import Report, build_parser, main
 from weakid.freealg import NcPoly, commutator, jordan, standard_poly
 from weakid.linalg import exact_rank
+from weakid.pairs import CliffordPair, MatrixPair
 from weakid.parser import (
     MAX_NESTING,
     MAX_POWER_BITS,
     MAX_TERMS,
     ParseError,
-    degree_bound,
+    _bounds,
     format_expr,
     lower_expr,
     parse_expr,
     parse_poly,
-    term_bound,
     var_index,
     var_name,
 )
 
-from oracles import oracle_span_vectors
+from oracles import component_loop_witness, oracle_span_vectors
 
 x = NcPoly.gen
 
@@ -141,11 +146,11 @@ class TestParseErrors:
         assert ei.value.pos == MAX_NESTING + 1
         assert parse_poly("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING) == x(1)
         brackets = "[" * MAX_NESTING + "x1,x2]" + ",x3]" * (MAX_NESTING - 1)
-        assert degree_bound(parse_expr(brackets)) == MAX_NESTING + 1
+        assert _bounds(parse_expr(brackets))[0] == MAX_NESTING + 1
 
     def test_long_flat_sums_and_products(self):
         assert parse_poly(" + ".join(["x1"] * 3000)) == 3000 * x(1)
-        assert degree_bound(parse_expr("*".join(["x1"] * 3000))) == 3000
+        assert _bounds(parse_expr("*".join(["x1"] * 3000)))[0] == 3000
 
 
 class TestDegreeBound:
@@ -162,13 +167,13 @@ class TestDegreeBound:
         ],
     )
     def test_values(self, text, bound):
-        assert degree_bound(parse_expr(text)) == bound
+        assert _bounds(parse_expr(text))[0] == bound
 
     def test_bound_never_below_degree(self):
         rng = random.Random(303)
         for _ in range(100):
             ast = parse_expr(random_expr(rng))
-            assert lower_expr(ast).max_degree() <= degree_bound(ast)
+            assert lower_expr(ast).max_degree() <= _bounds(ast)[0]
 
     def test_cap_applies_before_expansion(self):
         with pytest.raises(ValueError, match="degree can reach 40, above the cap 7"):
@@ -193,13 +198,13 @@ class TestTermBound:
         ],
     )
     def test_values(self, text, bound):
-        assert term_bound(parse_expr(text)) == bound
+        assert _bounds(parse_expr(text))[1] == bound
 
     def test_bound_never_below_term_count(self):
         rng = random.Random(304)
         for _ in range(100):
             ast = parse_expr(random_expr(rng))
-            assert len(lower_expr(ast).terms) <= term_bound(ast)
+            assert len(lower_expr(ast).terms) <= _bounds(ast)[1]
 
     def test_one_walk_for_both_bounds(self, monkeypatch):
         # parse_poly visits each node once for the degree and the term bound
@@ -525,15 +530,13 @@ class TestCli:
         def forbidden(*args):
             raise AssertionError("the candidates were built")
 
-        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
         monkeypatch.setattr(cli.structure, "factor_through_standard", forbidden)
         start = time.monotonic()
         assert main(argv) == 2
         assert time.monotonic() - start < 1.0
         assert capsys.readouterr().err == f"error: degree {degree} above cap 7\n"
 
-    def test_factor_at_cap(self, capsys, monkeypatch):
-        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
+    def test_factor_at_cap(self, capsys):
         assert main(["factor", "--n", "4", "--ys", "y1,y2,y3"]) == 0
         assert "verified by evaluation" in capsys.readouterr().out
 
@@ -545,7 +548,6 @@ class TestCli:
         def forbidden(*args):
             raise AssertionError("the lemma was built")
 
-        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
         for name in ("lemma2_coeffs", "eq5_defect", "lemma1_decompose", "lemma1_defect"):
             monkeypatch.setattr(cli.structure, name, forbidden)
         start = time.monotonic()
@@ -553,8 +555,7 @@ class TestCli:
         assert time.monotonic() - start < 1.0
         assert capsys.readouterr().err == f"error: degree {degree} above cap 7\n"
 
-    def test_lemma_at_cap(self, capsys, monkeypatch):
-        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
+    def test_lemma_at_cap(self, capsys):
         assert main(["lemma2", "--n", "6", "--k", "3"]) == 0  # a degree-7 defect
         assert main(["lemma1", "--n", "5"]) == 0
         assert capsys.readouterr().out.count("defect is a weak identity: yes") == 2
@@ -563,8 +564,7 @@ class TestCli:
         assert main(["standard", "--n", "2"]) == 0
         assert capsys.readouterr().out.strip() == "x1*x2 - x2*x1"
 
-    def test_standard_degree_cap(self, capsys, monkeypatch):
-        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
+    def test_standard_degree_cap(self, capsys):
         assert main(["standard", "--n", "8"]) == 2
         assert capsys.readouterr().err == "error: degree 8 above cap 7\n"
         # S(12) would be 479,001,600 words; the cap refuses it first
@@ -633,22 +633,6 @@ class TestCli:
         assert main(["--max-degree", "6", "dim", "--n", "7", "--pair", "clifford:2"]) == 0
         assert "quotient dim  35" in capsys.readouterr().out
 
-    def test_max_degree_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("WID_MAX_DEGREE", "3")
-        args = build_parser().parse_args(["check", "--pair", "m2", "x1"])
-        assert args.max_degree == 3
-        capsys.readouterr()
-
-    def test_max_degree_env_not_an_integer_exit_2(self, capsys, monkeypatch):
-        # exit 1 would read as "fails"; a bad setting is a usage error
-        monkeypatch.setenv("WID_MAX_DEGREE", "abc")
-        for argv in (["check", "--pair", "clifford:2", "x1"],
-                     ["--max-degree", "5", "check", "--pair", "clifford:2", "x1"]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "error: WID_MAX_DEGREE must be an integer\n"
-
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []
 
@@ -656,16 +640,12 @@ class TestCli:
             built.append(1)
             return build_parser()
 
-        monkeypatch.delenv("WID_MAX_DEGREE", raising=False)
         monkeypatch.setattr(cli, "build_parser", counted)
         cli._parser.cache_clear()
         assert main(["check", "--pair", "m2", "x1"]) == 1
         assert main(["check", "--pair", "m2", "S(4)"]) == 0
-        assert len(built) == 1
-        # the one parser still reads WID_MAX_DEGREE on every call
-        monkeypatch.setenv("WID_MAX_DEGREE", "3")
-        assert main(["check", "--pair", "m2", "S(4)"]) == 2
-        monkeypatch.delenv("WID_MAX_DEGREE")
+        # an option of one call is not the default of the next
+        assert main(["--max-degree", "3", "check", "--pair", "m2", "S(4)"]) == 2
         assert main(["check", "--pair", "m2", "S(4)"]) == 0
         assert len(built) == 1
         cli._parser.cache_clear()
@@ -722,6 +702,72 @@ class TestStandardSummands:
         assert out == _witness_lines(assignment, value)
         assert report["outcome"] == {"holds": False, "witness": {
             "assignment": dict(sorted(assignment.items())), "value": value}}
+
+
+_CONTRACT_PAIRS = {**{f"clifford:{k}": CliffordPair.symbolic(k) for k in range(1, 5)},
+                   "m2": MatrixPair()}
+
+
+def _grammar_texts():
+    """Expressions over the whole grammar: sums, differences, products,
+    powers up to 3, brackets, jord, S(n) for n <= 4, Fractions and one
+    coefficient past 2^63, some with a leading '-'; [x_i^2, x_j], a weak
+    identity of every pair, makes some inputs hold."""
+    atoms = st.one_of(
+        st.builds("x{}".format, st.integers(1, 4)),
+        st.builds("y{}".format, st.integers(1, 2)),
+        st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 4)),
+        st.builds("S({})".format, st.integers(1, 4)),
+        st.just(str(2**63 + 1)),
+        st.builds("[x{}^2, x{}]".format, st.integers(1, 4), st.integers(1, 4)),  # holds
+    )
+
+    def compound(inner):
+        pair = st.tuples(inner, inner)
+        factors = st.lists(inner, min_size=2, max_size=3)
+        return st.one_of(
+            factors.map(" + ".join),
+            pair.map("{0[0]} - ({0[1]})".format),
+            factors.map(lambda fs: "*".join(f"({f})" for f in fs)),
+            st.tuples(inner, st.integers(1, 3)).map("({0[0]})^{0[1]}".format),
+            pair.map("[{0[0]}, {0[1]}]".format),
+            pair.map("jord({0[0]}, {0[1]})".format),
+        )
+
+    texts = st.recursive(atoms, compound, max_leaves=6)
+    return st.tuples(st.sampled_from(["", "-"]), texts).map("".join)
+
+
+class TestCliContract:
+    @settings(max_examples=200, deadline=None)
+    @given(expr=_grammar_texts(), pair=st.sampled_from(sorted(_CONTRACT_PAIRS)),
+           as_json=st.booleans())
+    def test_exit_code_and_witness(self, expr, pair, as_json):
+        """Exit 0, 1 or 2 with no traceback; the witness of exit 1, and the
+        verdict of exit 0, are those of deciding one component at a time."""
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["--max-degree", "6", "check", "--pair", pair, expr]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--json", *argv] if as_json else argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+            return
+        want = component_loop_witness(parse_poly(expr, max_degree=6), _CONTRACT_PAIRS[pair], 6)
+        if code == 0:
+            assert want is None
+            return
+        assignment = {var_name(g): label for g, label in sorted(want.assignment.items())}
+        if as_json:
+            witness = json.loads(out.getvalue())["outcome"]["witness"]
+            assert witness == {"assignment": assignment, "value": str(want.value)}
+        else:
+            assert out.getvalue() == _witness_lines(assignment, str(want.value))
+
+
+def test_every_public_name_resolves():
+    assert [name for name in weakid.__all__ if not hasattr(weakid, name)] == []
 
 
 class TestReport:

@@ -4,23 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weakid.scalars import ParamPoly, param_specialize, rat_normalize
-
-
-class TestRatNormalize:
-    def test_reduces(self):
-        assert rat_normalize(6, 4) == Fraction(3, 2)
-
-    def test_negative_denominator(self):
-        r = rat_normalize(1, -2)
-        assert r == Fraction(-1, 2) and r.denominator == 2
-
-    def test_integer_default(self):
-        assert rat_normalize(7) == 7
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_normalize(1, 0)
+from weakid.scalars import ParamPoly
 
 
 class TestParamPoly:
@@ -67,7 +51,7 @@ class TestParamPoly:
         q1, q2 = ParamPoly.qvar(1, 2), ParamPoly.qvar(2, 2)
         p = q1 * q1 * 3 - q2 + 1
         assert p.specialize({1: 2, 2: Fraction(1, 2)}) == 12 - Fraction(1, 2) + 1
-        assert param_specialize(p, [2, Fraction(1, 2)]) == Fraction(25, 2)
+        assert p.specialize([2, Fraction(1, 2)]) == Fraction(25, 2)
 
     def test_specialize_missing_parameter(self):
         with pytest.raises(ValueError, match="q2"):

@@ -57,6 +57,7 @@ from weakid.structure import (
 from oracles import (
     dense_span_vs_kernel,
     echelon_mod_p,
+    factor_splits,
     oracle_span_vectors,
     rank_bareiss,
     rank_mod_p,
@@ -175,10 +176,12 @@ class TestLemma2:
         assert (co.alpha, co.beta) == (Fraction(-2, 3), Fraction(1, 3))
 
     def test_symmetry_range(self):
-        for n in range(2, 9):
+        # alpha(n,k) = beta(n,n-k): lemma2_coeffs runs the recursion only once
+        for n in range(2, 13):
             for k in range(1, n):
-                co = lemma2_coeffs(n, k)  # raises ArithmeticError on violation
+                co, mirror = lemma2_coeffs(n, k), lemma2_coeffs(n, n - k)
                 assert isinstance(co, InsertionCoeffs)
+                assert (co.alpha, co.beta) == (mirror.beta, mirror.alpha)
 
     def test_against_evaluation(self):
         # recursion-free cross-check by solving the evaluation linear system
@@ -387,7 +390,7 @@ class TestSpanKernelCertificate:
         want = {call: call() for call in (lambda: theorem1_check(5),
                                            lambda: corollary1_check(5, 4))}
         calls = record_block_ranks(monkeypatch)
-        monkeypatch.setattr(structure, "SEMINORMAL_PRIME", 5)
+        monkeypatch.setattr(structure, "PRIME", 5)
         exact = []
         for call, report in want.items():
             calls.clear()
@@ -754,6 +757,11 @@ class TestFactorThroughStandard:
             want = factor_through_standard(n, ys)
             assert (fac.variant, fac.right_factor, fac.pairs) == (
                 want.variant, want.right_factor, want.pairs), (n, ys)
+
+    @given(st.lists(st.integers(4, 7), max_size=6))
+    def test_splits_match_the_sub_multiset_oracle(self, letters):
+        multiset = tuple(sorted(letters))
+        assert structure._splits(multiset) == factor_splits(multiset)
 
     def test_interleaved_sum_shape(self):
         f = interleaved_alternating_sum(2, [(3,)])
@@ -1257,7 +1265,9 @@ class TestCertifiedRank:
         assert lifted is None or [x.tolist() for x in lifted] != [[[-1]], [40000]]
 
     def test_unlucky_prime_falls_back_to_exact_rank(self, monkeypatch):
-        rows = [[1, 1], [1, 4], [0, 0]]  # its 2x2 minors are 0 and 3
+        # one pivot modulo 3, two modulo PRIME2 (the lift restarts there) and
+        # PRIME3; with every lift failing, exact_rank decides
+        rows = [[1, 1, 0], [1, 4, 0], [0, 0, 0]]  # its nonzero 2x2 minors are 3
         assert rank_mod_p(rows, 3) == 1 < rank_bareiss(rows) == 2
         exact_calls = []
 
@@ -1266,9 +1276,42 @@ class TestCertifiedRank:
             return exact_rank(rows)
 
         monkeypatch.setattr(linalg, "PRIME", 3)
+        monkeypatch.setattr(linalg, "_lift", lambda k, m: None)
         monkeypatch.setattr(linalg, "exact_rank", counted_exact_rank)
         assert linalg.certified_rank(rows) == 2
         assert exact_calls == [rows]
+
+    @pytest.mark.parametrize("prime, rows", [
+        (3, [[1, 1], [1, 4], [0, 0]]),  # full rank modulo PRIME2
+        (5, [[1, 0], [2, 1]]),  # an isotropic column modulo 5
+        (3, [[1, 1, 0], [1, 4, 0], [0, 0, 0]]),  # lifted from PRIME2 alone
+    ])
+    def test_more_pivots_at_a_later_prime_need_no_exact_rank(self, monkeypatch, prime, rows):
+        def forbidden(rows):
+            raise AssertionError("exact_rank called")
+
+        monkeypatch.setattr(linalg, "PRIME", prime)
+        monkeypatch.setattr(linalg, "exact_rank", forbidden)
+        assert linalg.certified_rank(rows) == rank_bareiss(rows) == 2
+
+    def test_prime_with_fewer_pivots_is_skipped(self, monkeypatch):
+        # the Gram matrix is 6 u u^T for u = (40000, 1, 7), zero modulo 3: the
+        # lift goes on from PRIME to PRIME3
+        primes = []
+        echelon = linalg._diagonal_echelon
+
+        def recorded(a, p):
+            primes.append(p)
+            return echelon(a, p)
+
+        def forbidden(rows):
+            raise AssertionError("exact_rank called")
+
+        monkeypatch.setattr(linalg, "PRIME2", 3)
+        monkeypatch.setattr(linalg, "_diagonal_echelon", recorded)
+        monkeypatch.setattr(linalg, "exact_rank", forbidden)
+        assert linalg.certified_rank([[40000, 1, 7], [80000, 2, 14], [-40000, -1, -7]]) == 1
+        assert primes == [PRIME, 3, linalg.PRIME3]
 
     def test_isotropic_column_is_not_taken_for_a_zero_column(self, monkeypatch):
         # the first Gram diagonal entry 1^2 + 2^2 vanishes modulo 5, but its
