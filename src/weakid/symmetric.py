@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -98,6 +98,21 @@ def restriction_blocks(shape: Partition, d: int) -> tuple[tuple[int, Partition],
         out += [(offset + start, mu) for start, mu in restriction_blocks(smaller, d)]
         offset += len(standard_tableaux(smaller))
     return tuple(out)
+
+
+def place_runs(shape: Partition, d: int, rows_of: Callable[[Partition], np.ndarray],
+               p: int | None) -> np.ndarray:
+    """The rows rows_of(mu) of each run of restriction_blocks(shape, d), at
+    that run's columns, stacked in run order: block diagonal when every
+    rows_of(mu) is square."""
+    runs = [(start, rows_of(mu)) for start, mu in restriction_blocks(shape, d)]
+    out = np.zeros((sum(len(rows) for _, rows in runs), len(standard_tableaux(shape))),
+                   dtype=_dtype(p))
+    top = 0
+    for start, rows in runs:
+        out[top:top + len(rows), start:start + rows.shape[1]] = rows
+        top += len(rows)
+    return out
 
 
 def _residue(x: Fraction, p: int | None):
@@ -185,10 +200,7 @@ def rho_element(terms: Iterable[tuple[Sequence[int], int | Fraction]], n: int,
     for q, sub in by_place.items():
         low = rho_element(sub, n - 1, p)
         for lam, acc in out.items():
-            x = np.zeros_like(acc)
-            for start, mu in restriction_blocks(lam, n - 1):
-                f = len(low[mu])
-                x[start:start + f, start:start + f] = low[mu]
+            x = place_runs(lam, n - 1, low.__getitem__, p)
             # q counts places from 0, so the word is s_{n-1} ... s_{q+1}
             acc += right_multiply(x, lam, range(n - 1, q, -1), p)
             if p is not None:

@@ -9,7 +9,8 @@ group-algebra element term by term, the decision procedure's integer rows
 and witnesses by full polarization and whole sign matrices, the decision
 procedure one component at a time, the dense consequence span and
 span-versus-kernel comparison over all n! multilinear words, and the
-candidate splits of factor_through_standard by sub-multisets.
+candidate splits of factor_through_standard by sub-multisets and the
+defect rebuilt from its factors.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from weakid.freealg import (
     multihomogeneous_components,
     multilinear_words,
     multilinearize,
+    standard_poly,
     substitute_linear,
 )
 from weakid.pairs import CliffordPair, PairTarget, Witness
@@ -438,3 +440,15 @@ def factor_splits(multiset: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[
     return [(d, e) for sub in sub_multisets(multiset)
             for d in distinct_words(sub)
             for e in distinct_words(multiset_difference(multiset, sub))]
+
+
+def factorization_defect(fac: structure.StandardFactorization) -> NcPoly:
+    """The interleaved alternating sum minus its factorization through S_n,
+    rebuilt from fac's right factor or (left, right) pairs, for the
+    decision procedure to evaluate independently of the solve."""
+    sn = standard_poly(fac.n)
+    if fac.variant == "right":
+        factored = sn * fac.right_factor
+    else:
+        factored = sum((d * sn * e for d, e in fac.pairs), NcPoly.zero())
+    return structure.interleaved_alternating_sum(fac.n, fac.ys) - factored

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from weakid import structure
 from weakid.cli import main as cli_main
 from weakid.clifford import CliffordElt, FormParams, embed_vector, evaluate
 from weakid.freealg import (
@@ -39,7 +40,7 @@ from weakid.structure import (
     theorem1_check,
 )
 
-from oracles import random_invertible_substitution
+from oracles import component_loop_witness, factorization_defect, random_invertible_substitution
 
 
 def report(num, ok, seconds, note=""):
@@ -188,15 +189,11 @@ def test_criterion_7_matrix_pair(capsys):
         report(7, ok and dt < 60, dt)
 
 
-def test_criterion_8_factorization_sweep(capsys):
-    """factor_through_standard on every interleaving of total degree <= 2 for
-    n = 2, 3, both variants; every output verified, the 'violated' error never
-    fires."""
-    t0 = time.monotonic()
-    ok = True
-    count = 0
+def _criterion_8_cases():
+    """(n, ys, variant) for every interleaving of total degree <= 2 at
+    n = 2, 3, in x letters for the right variant and y letters for the
+    two-sided one."""
     for n in (2, 3):
-        slots = n - 1
         for variant, alphabet in (
             ("right", list(range(1, n + 1))),
             ("two-sided", [n + 1, n + 2]),
@@ -204,18 +201,46 @@ def test_criterion_8_factorization_sweep(capsys):
             words = [()] + [(a,) for a in alphabet] + [
                 (a, b) for a in alphabet for b in alphabet
             ]
-            for ys in itertools.product(words, repeat=slots):
-                if sum(len(y) for y in ys) > 2:
-                    continue
-                # with no interleaved letter both variants are the one
-                # factorization S_n = S_n, reported as the right variant
-                fac = factor_through_standard(n, ys)
-                want = variant if any(ys) else "right"
-                ok = ok and fac.verified and fac.variant == want
-                count += 1
+            for ys in itertools.product(words, repeat=n - 1):
+                if sum(len(y) for y in ys) <= 2:
+                    yield n, ys, variant
+
+
+def test_criterion_8_factorization_sweep(capsys):
+    """factor_through_standard on every interleaving of total degree <= 2 for
+    n = 2, 3, both variants; the 'violated' error never fires, and every
+    defect, rebuilt from the factors, holds by the component-loop decision."""
+    t0 = time.monotonic()
+    ok = True
+    count = 0
+    for n, ys, variant in _criterion_8_cases():
+        # with no interleaved letter both variants are the one
+        # factorization S_n = S_n, reported as the right variant
+        fac = factor_through_standard(n, ys)
+        want = variant if any(ys) else "right"
+        target = CliffordPair.symbolic(n + sum(map(len, ys)))
+        ok = ok and fac.variant == want
+        ok = ok and component_loop_witness(factorization_defect(fac), target) is None
+        count += 1
     dt = time.monotonic() - t0
     with capsys.disabled():
         report(8, ok, dt, f"{count} factorizations")
+
+
+def test_criterion_8_needs_no_second_decision(monkeypatch):
+    """The solve's equations verify each factorization: with the decision
+    procedure made to raise, every criterion-8 factorization comes out the
+    same and verified."""
+    cases = list(_criterion_8_cases())
+    want = [factor_through_standard(n, ys) for n, ys, _ in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_through_standard called is_weak_identity")
+
+    monkeypatch.setattr(structure, "is_weak_identity", refuse)
+    for (n, ys, _), fac in zip(cases, want):
+        got = factor_through_standard(n, ys)
+        assert got == fac and got.verified, (n, ys)
 
 
 def test_criterion_9_combinatorial_oracles(capsys):

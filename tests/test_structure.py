@@ -55,9 +55,11 @@ from weakid.structure import (
 )
 
 from oracles import (
+    component_loop_witness,
     dense_span_vs_kernel,
     echelon_mod_p,
     factor_splits,
+    factorization_defect,
     oracle_span_vectors,
     rank_bareiss,
     rank_mod_p,
@@ -757,6 +759,9 @@ class TestFactorThroughStandard:
             want = factor_through_standard(n, ys)
             assert (fac.variant, fac.right_factor, fac.pairs) == (
                 want.variant, want.right_factor, want.pairs), (n, ys)
+            # the defect, rebuilt from the factors, is decided apart from the solve
+            target = CliffordPair.symbolic(n + sum(map(len, ys)))
+            assert component_loop_witness(factorization_defect(fac), target) is None, (n, ys)
 
     @given(st.lists(st.integers(4, 7), max_size=6))
     def test_splits_match_the_sub_multiset_oracle(self, letters):
